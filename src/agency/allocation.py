@@ -10,7 +10,7 @@ each breakpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,15 @@ from .typedist import IronedVirtualCost
 
 #: Crossings closer than this (in cost) are merged into one breakpoint.
 MERGE_TOL = 1e-9
+
+
+def interval_index(breakpoints, c) -> np.ndarray:
+    """Index k of the interval ``(z[k+1], z[k]]`` holding each cost ``c``,
+    for descending breakpoints ``z``; costs outside the support are clamped
+    to its first or last interval."""
+    z = np.asarray(breakpoints, dtype=float)
+    k = np.searchsorted(-z, -np.asarray(c, dtype=float), side="right") - 1
+    return np.clip(k, 0, len(z) - 2)
 
 
 @dataclass(frozen=True)
@@ -34,8 +43,6 @@ class AllocationRule:
 
     breakpoints: tuple[float, ...]
     actions: tuple[int, ...]
-    _asc: np.ndarray = field(init=False, repr=False, compare=False)
-    _act_asc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         z = tuple(float(v) for v in self.breakpoints)
@@ -48,8 +55,6 @@ class AllocationRule:
             raise ValueError("actions must strictly increase toward lower cost")
         object.__setattr__(self, "breakpoints", z)
         object.__setattr__(self, "actions", a)
-        object.__setattr__(self, "_asc", np.asarray(z[::-1], dtype=float))
-        object.__setattr__(self, "_act_asc", np.asarray(a[::-1], dtype=int))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -57,11 +62,8 @@ class AllocationRule:
 
     def action_at(self, c) -> np.ndarray | int:
         """Action at cost ``c`` (clamped to the support)."""
-        scalar = np.isscalar(c) or np.asarray(c).ndim == 0
-        xa = np.clip(np.atleast_1d(np.asarray(c, dtype=float)), self._asc[0], self._asc[-1])
-        j = np.clip(np.searchsorted(self._asc, xa, side="left") - 1, 0, len(self._act_asc) - 1)
-        out = self._act_asc[j]
-        return int(out[0]) if scalar else out
+        out = np.asarray(self.actions)[interval_index(self.breakpoints, c)]
+        return int(out) if out.ndim == 0 else out
 
     def __call__(self, c):
         return self.action_at(c)

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .conditions import (
     SCAN_POINTS,
+    VERDICT_TOL,
     linear_bounded_params,
     rhr_bound_alpha_hat,
     slowly_increasing_beta,
@@ -30,6 +31,7 @@ from .conditions import (
 )
 from .examples import EXAMPLE_IDS, build, minimal_linear_alpha, non_monotone_audit
 from .incentives import (
+    CURVATURE_TOL,
     MenuContract,
     certify_non_implementable_at,
     check_menu_ic,
@@ -38,9 +40,10 @@ from .incentives import (
     menu_revenue,
     menu_size,
 )
-from .instance import Instance, PaymentProfile, validate
+from .instance import ROW_SUM_TOL, TIE_TOL, Instance, PaymentProfile, validate
 from .metrics import best_linear, compute_metrics, linear_revenue, welfare
-from .typedist import AtomPresentError, DistributionError, TypeDistribution, from_spec, ironed, to_spec
+from .typedist import (IRON_GRID, MASS_TOL, AtomPresentError, DistributionError, TypeDistribution, from_spec,
+                       ironed, to_spec)
 from .allocation import virtual_rule
 
 SCHEMA_VERSION = 1
@@ -138,13 +141,13 @@ def _instance_block(inst: Instance, raw: dict | None = None) -> dict:
 
 def _tolerances(scan_points: int) -> dict:
     return {
-        "tie": 1e-9,
-        "row_sum": 1e-12,
-        "mass": 1e-12,
-        "curvature": 1e-9,
-        "verdict_relative": 1e-6,
+        "tie": TIE_TOL,
+        "row_sum": ROW_SUM_TOL,
+        "mass": MASS_TOL,
+        "curvature": CURVATURE_TOL,
+        "verdict_relative": VERDICT_TOL,
         "scan_points": scan_points,
-        "iron_grid": 4096,
+        "iron_grid": IRON_GRID,
     }
 
 
@@ -501,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("example", choices=sorted(set(EXAMPLE_IDS)))
     pr.add_argument("--n", type=int, default=None)
     pr.add_argument("--delta", type=float, default=None)
-    pr.add_argument("--epsilon", type=float, default=0.1)
+    pr.add_argument("--epsilon", type=float, default=None)
     pr.add_argument("--r1", type=float, default=10.0)
     pr.add_argument("--r2", type=float, default=None)
     pr.add_argument("--cbar", type=float, default=None)
@@ -532,11 +535,10 @@ def _fill_defaults(args) -> None:
             args.n = 8 if args.n is None else args.n
         elif args.example == "non_monotone":
             args.delta = 0.02 if args.delta is None else args.delta
-            if args.epsilon == 0.1:
-                args.epsilon = 0.01
+            args.epsilon = 0.01 if args.epsilon is None else args.epsilon
             args.step = 0.01 if args.step is None else args.step
-        elif args.example == "non_implementable":
-            pass  # certificate defaults come from the instance
+        elif args.example == "smoothed":
+            args.epsilon = 0.1 if args.epsilon is None else args.epsilon
 
 
 def main(argv: list[str] | None = None) -> int:

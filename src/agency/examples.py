@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance, PaymentProfile, best_response
+from .instance import Instance, PaymentProfile, best_response, best_responses
 from .incentives import MenuContract
 from .typedist import TypeDistribution, mixture, piecewise, point_mass, uniform
 
@@ -196,17 +196,6 @@ def non_monotone(delta: float = 0.02, epsilon: float = 0.01) -> CanonicalExample
     )
 
 
-def _vector_best_actions(instance: Instance, T: np.ndarray, c: float, tol: float = 1e-9) -> np.ndarray:
-    """Tie-broken best responses for a batch of expected-payment rows."""
-    g = instance.gamma_array()
-    R = instance.expected_reward_array()
-    U = T - g[None, :] * c
-    tie = U >= U.max(axis=1, keepdims=True) - tol
-    P = np.where(tie, R[None, :] - T, -np.inf)
-    tie2 = tie & (P >= P.max(axis=1, keepdims=True) - tol)
-    return T.shape[1] - 1 - np.argmax(tie2[:, ::-1], axis=1)
-
-
 def non_monotone_audit(
     delta: float = 0.02,
     epsilon: float = 0.01,
@@ -227,6 +216,7 @@ def non_monotone_audit(
     revenue_h = br.principal_utility
 
     F = inst.prob_matrix()
+    g = inst.gamma_array()
     R = inst.expected_reward_array()
     axis = np.arange(box[0], box[1] + step / 2.0, step)
     total = len(axis) ** 3
@@ -237,8 +227,8 @@ def non_monotone_audit(
         coords = np.stack(np.unravel_index(idx, (len(axis),) * 3), axis=1)
         t_rest = axis[coords]  # payments on outcomes 1..3
         T = t_rest @ F[:, 1:].T  # (B, 4); null-outcome payment is zero
-        a0 = _vector_best_actions(inst, T, 0.0)
-        a1 = _vector_best_actions(inst, T, 1.0)
+        a0 = best_responses(T, 0.0, g, R)
+        a1 = best_responses(T, 1.0, g, R)
         rows = np.arange(len(idx))
         rev = epsilon * (R[a0] - T[rows, a0]) + (1.0 - epsilon) * (R[a1] - T[rows, a1])
         k = int(np.argmax(rev))
@@ -273,7 +263,9 @@ def menu(n: int = 8, r1: float = 10.0, r2: float | None = None, c_bar: float | N
     if r2 is None:
         r2 = r1 + 2.0 * (n - 1) + 3.0
     _require(r1 + 2.0 * (n - 1) + 1.0 < r2, "r1 + 2(n-1) + 1 < r2")
-    _require(r1 >= n - 1.0, "r1 >= n - 1 (keeps the menu payments non-negative)")
+    k_top = math.ceil(n / 2)
+    r1_min = 2.0 * k_top * (2.0 * k_top - 1.0) / n  # n - 1 for even n, n + 1 for odd n
+    _require(r1 >= r1_min, f"r1 >= 2k(2k-1)/n = {r1_min:g}, k = ceil(n/2) (keeps the menu payments non-negative)")
     dr = r2 - r1
     z_top = (n * r1 + dr + 1.0) / 2.0
     if c_bar is None:
@@ -290,7 +282,7 @@ def menu(n: int = 8, r1: float = 10.0, r2: float | None = None, c_bar: float | N
     actions = tuple(range(n + 1))
 
     profiles = []
-    for k in range(1, math.ceil(n / 2) + 1):
+    for k in range(1, k_top + 1):
         t1 = r1 / 2.0 + (2.0 * k - 4.0 * k * k) / (2.0 * n)
         t2 = t1 + (dr + 4.0 * k - 1.0) / 2.0
         profiles.append(PaymentProfile((0.0, t1, t2)))
@@ -302,7 +294,7 @@ def menu(n: int = 8, r1: float = 10.0, r2: float | None = None, c_bar: float | N
         u_bar=0.0,
     )
     facts = {
-        "menu_size": math.ceil(n / 2),
+        "menu_size": k_top,
         "virtual_breakpoints": tuple(inner),
         "action_breakpoint_top": z_top,
         "expected_payments": tuple(

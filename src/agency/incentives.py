@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import AllocationRule, rule_from_payments, virtual_rule
-from .instance import Instance, PaymentProfile, best_response
+from .allocation import AllocationRule, interval_index, rule_from_payments, virtual_rule
+from .instance import TIE_TOL, Instance, PaymentProfile, best_responses, linear_payments
+from .metrics import add_atom_revenue
 from .typedist import TypeDistribution, ironed
 
 CURVATURE_TOL = 1e-9
@@ -59,13 +60,6 @@ class _ActionPath:
     @property
     def support(self) -> tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
-
-    def action_at(self, c) -> np.ndarray | int:
-        scalar = np.isscalar(c) or np.asarray(c).ndim == 0
-        xa = np.clip(np.atleast_1d(np.asarray(c, dtype=float)), self.knots[0], self.knots[-1])
-        j = np.clip(np.searchsorted(self.knots, xa, side="left") - 1, 0, len(self.actions) - 1)
-        out = self.actions[j]
-        return int(out[0]) if scalar else out
 
     def tail_effort(self, c) -> np.ndarray | float:
         """W(c) = integral of gamma[x(z)] dz from c to the support top."""
@@ -120,13 +114,27 @@ def _utility_envelope(instance: Instance, T: np.ndarray, c: np.ndarray) -> np.nd
     return np.max(T[None, :] - instance.gamma_array()[None, :] * np.asarray(c)[:, None], axis=1)
 
 
+def _anchored_dstar(
+    instance: Instance, path: _ActionPath, T: np.ndarray, anchors: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """D* at each anchor for expected payments ``T``, and the worst deviation.
+
+    ``D*(c) = h(c) - min h``: the minimum of ``h = W - U_t`` over the
+    deviation candidates does not depend on the anchor, so it is taken once.
+    """
+    cand = _deviation_candidates(instance, T, path)
+    h = path.tail_effort(cand) - _utility_envelope(instance, T, cand)
+    k = int(np.argmin(h))
+    dstar = path.tail_effort(anchors) - _utility_envelope(instance, T, anchors) - h[k]
+    return dstar, float(cand[k])
+
+
 def curvature_check(
     instance: Instance,
     rule: AllocationRule,
     c: float,
     t_c: PaymentProfile | Sequence[float] | np.ndarray,
     tol: float = CURVATURE_TOL,
-    tie_tol: float = 1e-9,
 ) -> CurvatureCheck:
     """Check the anchored implementability integral for payments ``t_c``.
 
@@ -136,16 +144,12 @@ def curvature_check(
     """
     path = _ActionPath.from_rule(rule, instance)
     T = instance.expected_payments(t_c)
-    cand = _deviation_candidates(instance, T, path)
-    h = path.tail_effort(cand) - _utility_envelope(instance, T, cand)
-    k = int(np.argmin(h))
-    hc = float(path.tail_effort(c)) - float(_utility_envelope(instance, T, np.asarray([c]))[0])
-    dstar = hc - float(h[k])
+    (dstar,), worst = _anchored_dstar(instance, path, T, np.asarray([c], dtype=float))
     agent = T - instance.gamma_array() * c
-    consistent = bool(agent[rule.action_at(c)] >= agent.max() - tie_tol)
+    consistent = bool(agent[rule.action_at(c)] >= agent.max() - TIE_TOL)
     return CurvatureCheck(
         anchor=float(c),
-        worst_deviation=float(cand[k]),
+        worst_deviation=worst,
         dstar=float(dstar),
         passed=bool(dstar <= tol),
         consistent=consistent,
@@ -195,7 +199,6 @@ def certify_non_implementable_at(
     payment_box: tuple[float, float] | None = None,
     step: float | None = None,
     tol: float = CURVATURE_TOL,
-    tie_tol: float = 1e-9,
     chunk: int = 100_000,
 ) -> Certificate:
     """Exhaustive grid search for payments implementing ``rule`` at ``c``.
@@ -245,12 +248,12 @@ def certify_non_implementable_at(
         u1c = util_anchor.max(axis=1)
         if anchor_action >= 1:
             ua = util_anchor[:, anchor_action - 1]
-            mask = ua >= u1c - tie_tol  # best among non-null actions
-            t0_cap = ua + tie_tol  # null action must not beat the anchor
+            mask = ua >= u1c - TIE_TOL  # best among non-null actions
+            t0_cap = ua + TIE_TOL  # null action must not beat the anchor
         else:
             ua = None
             mask = np.full(len(idx), True)
-            t0_cap = np.full(len(idx), hi_box)  # any t0 >= u1c - tie_tol
+            t0_cap = np.full(len(idx), hi_box)  # any t0 >= u1c - TIE_TOL
         if not mask.any():
             continue
         T1m = T1[mask]
@@ -276,7 +279,7 @@ def certify_non_implementable_at(
             t0_lo = np.zeros(len(T1m))
         else:
             cap = np.full(len(T1m), hi_box)
-            t0_lo = np.maximum(0.0, u1_anchor - tie_tol)
+            t0_lo = np.maximum(0.0, u1_anchor - TIE_TOL)
         cap = np.minimum(cap, hi_box)
         lo_idx = np.ceil((t0_lo - lo_box) / step - 1e-9).astype(int)
         hi_idx = np.floor((cap - lo_box) / step + 1e-9).astype(int)
@@ -355,12 +358,13 @@ class MenuContract:
     def support(self) -> tuple[float, float]:
         return self.breakpoints[-1], self.breakpoints[0]
 
+    def profile_index_at(self, c) -> np.ndarray:
+        """Index into ``profiles`` of the profile assigned to each cost
+        ``c`` (clamped to the support)."""
+        return np.asarray(self.profile_index)[interval_index(self.breakpoints, c)]
+
     def profile_at(self, c: float) -> PaymentProfile:
-        z = self.breakpoints
-        for k in range(len(self.profile_index)):
-            if c > z[k + 1] or k == len(self.profile_index) - 1:
-                return self.profiles[self.profile_index[k]]
-        return self.profiles[self.profile_index[-1]]
+        return self.profiles[int(self.profile_index_at(c))]
 
     def to_dict(self) -> dict:
         return {
@@ -384,9 +388,8 @@ class MenuContract:
 
 def linear_menu(instance: Instance, alpha: float, support: tuple[float, float]) -> MenuContract:
     """The single-profile menu of a linear contract."""
-    t = tuple(alpha * r for r in instance.rewards)
     return MenuContract(
-        profiles=(PaymentProfile(t),),
+        profiles=(linear_payments(instance, alpha),),
         breakpoints=(float(support[1]), float(support[0])),
         profile_index=(0,),
     )
@@ -430,9 +433,10 @@ def menu_revenue(instance: Instance, dist: TypeDistribution, contract: MenuContr
         T = instance.expected_payments(contract.profiles[pidx])
         mass = float(dist.cdf_continuous(hi)) - float(dist.cdf_continuous(lo))
         total += mass * (R[action] - float(T[action]))
-    for loc, mass in dist.atoms:
-        br = best_response(instance, contract.profile_at(loc), loc)
-        total += mass * br.principal_utility
+    if dist.atoms:
+        at_atoms = contract.profile_index_at([loc for loc, _ in dist.atoms])
+        T = np.stack([instance.expected_payments(contract.profiles[p]) for p in at_atoms])
+        total = add_atom_revenue(total, instance, dist, T)
     return total
 
 
@@ -446,6 +450,19 @@ class MenuIcReport:
     worst_dstar_anchor: float
     checked_types: int
     passed: bool
+
+
+def _menu_dstar(instance: Instance, contract: MenuContract, grid: np.ndarray) -> np.ndarray:
+    """D* at each grid type along the menu's induced action path, anchored
+    on the payments the type is assigned."""
+    path = menu_path(instance, contract)
+    assigned = contract.profile_index_at(grid)
+    dstar = np.empty(len(grid))
+    for pidx in np.unique(assigned):
+        at = assigned == pidx
+        T = instance.expected_payments(contract.profiles[pidx])
+        dstar[at] = _anchored_dstar(instance, path, T, grid[at])[0]
+    return dstar
 
 
 def check_menu_ic(
@@ -462,36 +479,19 @@ def check_menu_ic(
     """
     lo, hi = contract.support
     grid = np.unique(np.concatenate([np.linspace(lo, hi, grid_points), contract.breakpoints]))
-    g = instance.gamma_array()
-    utils = []
-    for p in contract.profiles:
-        T = instance.expected_payments(p)
-        utils.append(np.max(T[None, :] - g[None, :] * grid[:, None], axis=1))
-    utils = np.stack(utils, axis=1)  # (grid, profiles)
-    assigned = np.asarray(
-        [contract.profile_index[_interval_of(contract.breakpoints, c)] for c in grid], dtype=int
-    )
-    gap = utils.max(axis=1) - utils[np.arange(len(grid)), assigned]
+    utils = np.stack([_utility_envelope(instance, instance.expected_payments(p), grid)
+                      for p in contract.profiles], axis=1)  # (grid, profiles)
+    gap = utils.max(axis=1) - utils[np.arange(len(grid)), contract.profile_index_at(grid)]
     worst_gap_k = int(np.argmax(gap))
-
-    path = menu_path(instance, contract)
-    worst_d = -math.inf
-    worst_anchor = float(grid[0])
-    for c, pidx in zip(grid, assigned):
-        T = instance.expected_payments(contract.profiles[pidx])
-        cand = _deviation_candidates(instance, T, path)
-        h = path.tail_effort(cand) - _utility_envelope(instance, T, cand)
-        hc = float(path.tail_effort(c)) - float(_utility_envelope(instance, T, np.asarray([c]))[0])
-        d = hc - float(h.min())
-        if d > worst_d:
-            worst_d, worst_anchor = d, float(c)
+    dstar = _menu_dstar(instance, contract, grid)
+    worst_k = int(np.argmax(dstar))
     return MenuIcReport(
         worst_selection_gap=float(gap[worst_gap_k]),
         worst_selection_type=float(grid[worst_gap_k]),
-        worst_dstar=float(worst_d),
-        worst_dstar_anchor=worst_anchor,
+        worst_dstar=float(dstar[worst_k]),
+        worst_dstar_anchor=float(grid[worst_k]),
         checked_types=len(grid),
-        passed=bool(gap[worst_gap_k] <= tol and worst_d <= tol),
+        passed=bool(gap[worst_gap_k] <= tol and dstar[worst_k] <= tol),
     )
 
 
@@ -504,46 +504,27 @@ def menu_curvature_rows(
     """Per-type curvature summary along the menu's induced action path."""
     lo, hi = contract.support
     grid = np.linspace(lo, hi, grid_points)
-    path = menu_path(instance, contract)
-    rows = []
-    for c in grid:
-        T = instance.expected_payments(contract.profile_at(float(c)))
-        cand = _deviation_candidates(instance, T, path)
-        h = path.tail_effort(cand) - _utility_envelope(instance, T, cand)
-        hc = float(path.tail_effort(c)) - float(_utility_envelope(instance, T, np.asarray([c]))[0])
-        d = hc - float(h.min())
-        rows.append({"type": float(c), "dstar": float(d), "passed": bool(d <= tol)})
-    return rows
+    dstar = _menu_dstar(instance, contract, grid)
+    return [{"type": float(c), "dstar": float(d), "passed": bool(d <= tol)} for c, d in zip(grid, dstar)]
 
 
-def _interval_of(breakpoints: tuple[float, ...], c: float) -> int:
-    for k in range(len(breakpoints) - 1):
-        if c > breakpoints[k + 1]:
-            return k
-    return len(breakpoints) - 2
+def _menu_columns(instance: Instance, contract: MenuContract) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected payment, effort and expected reward of every (action,
+    profile) pair, as columns ``action * len(profiles) + profile``: the last
+    column is the highest action, then the highest profile."""
+    T = np.stack([instance.expected_payments(p) for p in contract.profiles], axis=1).ravel()
+    P = len(contract.profiles)
+    return T[None, :], np.repeat(instance.gamma_array(), P), np.repeat(instance.expected_reward_array(), P)
 
 
-def menu_selection(instance: Instance, contract: MenuContract, c: float, tie_tol: float = 1e-9) -> tuple[int, int]:
-    """The (profile, action) a type picks from the whole menu.
-
-    Ties resolve like :func:`agency.instance.best_response`: first by the
-    principal's utility, then toward the higher action and profile.
+def menu_selection(instance: Instance, contract: MenuContract, c: float) -> tuple[int, int]:
+    """The (profile, action) a type picks from the whole menu, tie-broken
+    like :func:`agency.instance.best_responses` over every (action, profile)
+    pair: principal utility, then the higher action, then the higher profile.
     """
-    g = instance.gamma_array()
-    R = instance.expected_reward_array()
-    best: tuple[float, float, int, int] | None = None
-    for pidx, p in enumerate(contract.profiles):
-        T = instance.expected_payments(p)
-        util = T - g * c
-        for a in range(len(util)):
-            key = (float(util[a]), float(R[a] - T[a]), a, pidx)
-            if best is None or (
-                key[0] > best[0] + tie_tol
-                or (key[0] >= best[0] - tie_tol and key[1:] > best[1:])
-            ):
-                best = key
-    assert best is not None
-    return best[3], best[2]
+    T, g, R = _menu_columns(instance, contract)
+    action, pidx = divmod(int(best_responses(T, c, g, R)[0]), len(contract.profiles))
+    return pidx, action
 
 
 def menu_induced_pieces(
@@ -559,7 +540,9 @@ def menu_induced_pieces(
     """
     lo, hi = contract.support
     grid = np.unique(np.concatenate([np.linspace(lo, hi, grid_points), contract.breakpoints]))
-    acts = [menu_selection(instance, contract, float(c))[1] for c in grid]
+    T, g, R = _menu_columns(instance, contract)
+    P = len(contract.profiles)
+    acts = best_responses(T, grid, g, R) // P
     pieces: list[tuple[float, float, int]] = []
     start = grid[0]
     for k in range(1, len(grid)):
@@ -568,7 +551,7 @@ def menu_induced_pieces(
             left_action = acts[k - 1]
             while a_hi - a_lo > refine_tol * max(1.0, abs(a_hi)):
                 mid = 0.5 * (a_lo + a_hi)
-                if menu_selection(instance, contract, mid)[1] == left_action:
+                if best_responses(T, mid, g, R)[0] // P == left_action:
                     a_lo = mid
                 else:
                     a_hi = mid

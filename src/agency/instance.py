@@ -215,32 +215,40 @@ def validate(instance: Instance) -> list[str]:
     return out
 
 
+def best_responses(T: np.ndarray, c, gammas: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+    """The tie-broken best-response column for each row of expected payments.
+
+    ``T`` is ``[B, K]`` (a single row broadcasts against ``c``), ``c`` a
+    cost type or one per row, and ``gammas``/``rewards`` give each column's
+    effort and expected reward. The tie order: the highest agent utility
+    ``T - gammas * c`` within :data:`TIE_TOL`, then the highest principal
+    utility ``rewards - T`` within :data:`TIE_TOL`, then the last column.
+    The model pins down only the first step; the rest is a fixed convention.
+    """
+    c = np.asarray(c, dtype=float)
+    agent = T - gammas * (c[:, None] if c.ndim else c)
+    tied = agent >= np.maximum.reduce(agent, axis=1, keepdims=True) - TIE_TOL
+    principal = np.where(tied, rewards - T, -np.inf)
+    top = principal >= np.maximum.reduce(principal, axis=1, keepdims=True) - TIE_TOL
+    return top.shape[1] - 1 - top[:, ::-1].argmax(axis=1)
+
+
 def best_response(
     instance: Instance,
     t: PaymentProfile | Sequence[float] | np.ndarray,
     c: float,
-    tie_tol: float = TIE_TOL,
 ) -> BestResponse:
-    """The agent's utility-maximizing action at cost type ``c`` facing ``t``.
-
-    Agent-utility ties within ``tie_tol`` are broken in favor of the
-    principal's utility, and residual ties in favor of the highest action
-    index (a fixed convention; the model only pins down the first step).
-    """
+    """The agent's utility-maximizing action at cost type ``c`` facing ``t``,
+    tie-broken as in :func:`best_responses`."""
     if c < 0:
         raise ValueError("cost type must be non-negative")
     T = instance.expected_payments(t)
     g = instance.gamma_array()
     R = instance.expected_reward_array()
-    agent = T - g * c
-    best = float(agent.max())
-    tied = np.flatnonzero(agent >= best - tie_tol)
-    principal = R[tied] - T[tied]
-    top = np.flatnonzero(principal >= principal.max() - tie_tol)
-    action = int(tied[top[-1]])
+    action = int(best_responses(T[None, :], c, g, R)[0])
     return BestResponse(
         action=action,
         expected_payment=float(T[action]),
-        agent_utility=float(agent[action]),
+        agent_utility=float(T[action] - g[action] * c),
         principal_utility=float(R[action] - T[action]),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationRule, envelope_rule, virtual_rule
-from .instance import Instance, best_response, linear_payments
+from .instance import Instance, best_responses
 from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, ironed
 
 SIMPSON_PANELS = 256
@@ -109,6 +109,18 @@ def welfare(
 # linear-contract revenue
 
 
+def add_atom_revenue(total: float, instance: Instance, dist: TypeDistribution, T: np.ndarray) -> float:
+    """``total`` plus, per atom, its mass times the principal's utility from
+    the atom type's tie-broken best response to the expected payments
+    ``T`` (one row per atom, or a single row for all). Terms are added to
+    ``total`` one at a time, so the sum does not depend on the batching."""
+    R = instance.expected_reward_array()
+    a = best_responses(T, [loc for loc, _ in dist.atoms], instance.gamma_array(), R)
+    for (_, mass), u in zip(dist.atoms, (R - T)[np.arange(len(T)), a].tolist()):
+        total += mass * u
+    return total
+
+
 def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float) -> float:
     """Expected revenue of the linear contract with share ``alpha``.
 
@@ -127,9 +139,9 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float) -> 
     for seg_lo, seg_hi, action in rule.intervals():
         mass = float(dist.cdf_continuous(seg_hi)) - float(dist.cdf_continuous(seg_lo))
         total += mass * (1.0 - alpha) * R[action]
-    t = linear_payments(instance, alpha)
-    for loc, mass in dist.atoms:
-        total += mass * best_response(instance, t, loc).principal_utility
+    if dist.atoms:
+        T = instance.expected_payments(alpha * instance.reward_array())
+        total = add_atom_revenue(total, instance, dist, T[None, :])
     return total
 
 
@@ -137,6 +149,8 @@ def linear_revenue_quadrature(
     instance: Instance, dist: TypeDistribution, alpha: float, panels: int = SIMPSON_PANELS
 ) -> float:
     """Quadrature route for the same quantity, via pointwise argmax."""
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
     R = instance.expected_reward_array()
     g = instance.gamma_array()
 
@@ -151,9 +165,9 @@ def linear_revenue_quadrature(
         cont = integrate_against(
             dist, f, lo, hi, extra_breaks=breaks, panels=panels, include_atoms=False, endpoint_inset=1e-9
         )
-    t = linear_payments(instance, alpha)
-    for loc, mass in dist.atoms:
-        cont += mass * best_response(instance, t, loc).principal_utility
+    if dist.atoms:
+        T = instance.expected_payments(alpha * instance.reward_array())
+        cont = add_atom_revenue(cont, instance, dist, T[None, :])
     return cont
 
 
@@ -193,7 +207,6 @@ def virtual_welfare(
     dist: TypeDistribution,
     interval: tuple[float, float] | None = None,
     iv: IronedVirtualCost | None = None,
-    grid_size: int = 4096,
 ) -> float:
     """Optimal expected (ironed) virtual welfare from types in ``interval``.
 
@@ -204,7 +217,7 @@ def virtual_welfare(
     if dist.has_atoms:
         raise AtomPresentError("virtual welfare requires an atom-free distribution")
     if iv is None:
-        iv = ironed(dist, grid_size)
+        iv = ironed(dist)
     rule = virtual_rule(instance, iv)
     lo, hi = interval if interval is not None else (iv.c_low, iv.c_high)
     lo = max(lo, iv.c_low)

@@ -46,6 +46,8 @@ __all__ = [
 MASS_TOL = 1e-12
 CDF_FLOOR = 1e-12
 TAIL_EPS = 1e-9
+#: Uniform points of the ironing grid (density kinks are added to them).
+IRON_GRID = 4096
 
 
 class DistributionError(ValueError):
@@ -270,35 +272,31 @@ class TypeDistribution:
         pts.update(a for a, _ in self.atoms)
         return tuple(sorted(pts))
 
-    def cdf(self, x) -> np.ndarray | float:
-        """Right-continuous CDF, clamped outside the support."""
+    def _mixture_cdf(self, x, atoms: str) -> np.ndarray | float:
+        """Weighted sum of the part CDFs plus, by ``atoms``, the mass of the
+        atoms at or below ``x`` (``"at"``, clipped to [0, 1]), strictly
+        below ``x`` (``"below"``, clipped), or none (``"none"``, unclipped)."""
         xa = np.asarray(x, dtype=float)
         out = np.zeros_like(xa)
         for w, p in self.parts:
             out = out + w * p.cdf(xa)
-        for a, m in self.atoms:
-            out = out + m * (xa >= a)
-        out = np.clip(out, 0.0, 1.0)
+        if atoms != "none":
+            for a, m in self.atoms:
+                out = out + m * ((xa >= a) if atoms == "at" else (xa > a))
+            out = np.clip(out, 0.0, 1.0)
         return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+
+    def cdf(self, x) -> np.ndarray | float:
+        """Right-continuous CDF, clamped outside the support."""
+        return self._mixture_cdf(x, "at")
 
     def cdf_left(self, x) -> np.ndarray | float:
         """Left limit of the CDF (atoms at exactly ``x`` excluded)."""
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros_like(xa)
-        for w, p in self.parts:
-            out = out + w * p.cdf(xa)
-        for a, m in self.atoms:
-            out = out + m * (xa > a)
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+        return self._mixture_cdf(x, "below")
 
     def cdf_continuous(self, x) -> np.ndarray | float:
         """CDF of the continuous part only (atom mass excluded)."""
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros_like(xa)
-        for w, p in self.parts:
-            out = out + w * p.cdf(xa)
-        return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+        return self._mixture_cdf(x, "none")
 
     def pdf(self, x, side: str = "right") -> np.ndarray | float:
         xa = np.asarray(x, dtype=float)
@@ -596,7 +594,7 @@ def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
     return hull
 
 
-def iron(dist: TypeDistribution, grid_size: int = 4096) -> IronedVirtualCost:
+def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCost:
     """Iron the virtual cost over cost space.
 
     Integrates the virtual cost on a uniform grid refined with the density
@@ -651,6 +649,6 @@ def iron_inverse(iv: IronedVirtualCost, q: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def ironed(dist: TypeDistribution, grid_size: int = 4096) -> IronedVirtualCost:
+def ironed(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCost:
     """Cached :func:`iron`; distributions are immutable so this is safe."""
     return iron(dist, grid_size)

@@ -161,6 +161,11 @@ class TestReproduce:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_non_monotone_explicit_epsilon(self, capsys):
+        code, _, err = run(["reproduce", "non_monotone", "--epsilon", "0.1", "--step", "0.5"], capsys)
+        assert code == 1
+        assert "epsilon < delta" in err
+
     def test_smoothed(self, capsys):
         code, out, _ = run(["reproduce", "smoothed", "--epsilon", "0.5"], capsys)
         assert code == 0

@@ -128,6 +128,12 @@ class TestMenu:
     def test_constraint_checks(self):
         with pytest.raises(ConstraintError, match="r1"):
             menu(n=8, r1=2.0)
+        # odd n needs r1 >= n + 1: below it the last profile pays a negative t1
+        for r1 in (2.5, 3.0, 3.99):
+            with pytest.raises(ConstraintError, match=r"r1 >= 2k\(2k-1\)/n = 4"):
+                menu(n=3, r1=r1)
+        assert menu_size(menu(n=3, r1=4.0).contract) == 2
+        assert menu_size(menu(n=8, r1=7.0).contract) == 4
         with pytest.raises(ConstraintError, match="r2"):
             menu(n=8, r1=10.0, r2=20.0)
 

@@ -28,6 +28,7 @@ from agency import (
     welfare,
 )
 from agency.allocation import AllocationRule
+from agency.incentives import menu_selection
 from agency.examples import menu as menu_example
 from agency.metrics import integrate_against
 
@@ -194,6 +195,35 @@ class TestMenus:
         ex = menu_example(n=8)
         rep = check_menu_ic(ex.instance, ex.contract, 500)
         assert rep.passed
+
+    @staticmethod
+    def _pairwise_selection(inst, contract, c, tol=1e-9):
+        # a running best over (agent utility, principal utility, action,
+        # profile), agent utilities compared within tol
+        g, R = inst.gamma_array(), inst.expected_reward_array()
+        best = None
+        for pidx, p in enumerate(contract.profiles):
+            T = inst.expected_payments(p)
+            for a in range(len(T)):
+                key = (float(T[a] - g[a] * c), float(R[a] - T[a]), a, pidx)
+                if best is None or key[0] > best[0] + tol or (key[0] >= best[0] - tol and key[1:] > best[1:]):
+                    best = key
+        return best[3], best[2]
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_selection_matches_pairwise_loop(self, n):
+        ex = menu_example(n=n, r1=n + 1.0)
+        lo, hi = ex.contract.support
+        grid = np.unique(np.concatenate([np.linspace(lo, hi, 300), ex.contract.breakpoints]))
+        for c in grid:
+            assert menu_selection(ex.instance, ex.contract, float(c)) == \
+                self._pairwise_selection(ex.instance, ex.contract, float(c))
+
+    def test_selection_full_tie_takes_higher_profile(self):
+        inst, _ = appx_non_implement()
+        p = PaymentProfile((0.0, 50.0, 150.0))
+        m = MenuContract(profiles=(p, p), breakpoints=(80.0, 0.0), profile_index=(0,))
+        assert menu_selection(inst, m, 10.0) == (1, 3)
 
     def test_menu_revenue_matches_quadrature(self, rng):
         inst = random_instance(rng, n=2, m=2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from agency import Instance, PaymentProfile, best_response, linear_payments, validate
+from agency.instance import TIE_TOL, best_responses
 
 from conftest import random_instance
 
@@ -112,6 +113,40 @@ class TestBestResponse:
             a1 = best_response(inst, linear_payments(inst, alpha), c).action
             a2 = best_response(inst, linear_payments(inst, 1.0), c / alpha).action
             assert a1 == a2
+
+
+def _tie_order(T, c, g, R):
+    """The documented tie order, one row at a time."""
+    agent = T - g * c
+    tied = [k for k in range(len(T)) if agent[k] >= agent.max() - TIE_TOL]
+    best = max(R[k] - T[k] for k in tied)
+    return max(k for k in tied if R[k] - T[k] >= best - TIE_TOL)
+
+
+class TestBestResponses:
+    def test_rows_follow_tie_order(self, rng):
+        inst = random_instance(rng, n=4)
+        g, R = inst.gamma_array(), inst.expected_reward_array()
+        T = rng.uniform(0, 10, (300, inst.n + 1))
+        # every third row ties actions 1 and 2 for the agent at c = 1 ...
+        T[::3, 1] += 20.0
+        T[::3, 2] = T[::3, 1] + (g[2] - g[1])
+        # ... and every sixth row ties them for the principal too
+        T[::6, 2] = T[::6, 1] + (R[2] - R[1])
+        T[::6, 1] = T[::6, 2] - (g[2] - g[1])
+        got = best_responses(T, 1.0, g, R)
+        assert got.tolist() == [_tie_order(row, 1.0, g, R) for row in T]
+        c = rng.uniform(0, 4, len(T))
+        got = best_responses(T, c, g, R)
+        assert got.tolist() == [_tie_order(row, ci, g, R) for row, ci in zip(T, c)]
+
+    def test_single_row_broadcasts_over_types(self, rng):
+        inst = random_instance(rng)
+        t = rng.uniform(0, 10, inst.m + 1)
+        cs = np.linspace(0.0, 6.0, 41)
+        got = best_responses(inst.expected_payments(t)[None, :], cs, inst.gamma_array(),
+                             inst.expected_reward_array())
+        assert got.tolist() == [best_response(inst, t, float(c)).action for c in cs]
 
 
 def test_payment_profile_rejects_negative():
