@@ -353,6 +353,8 @@ class MenuContract:
             raise ValueError("need one profile index per breakpoint interval")
         if any(i < 0 or i >= len(self.profiles) for i in self.profile_index):
             raise ValueError("profile index out of range")
+        if any(a <= b for a, b in zip(self.breakpoints[:-1], self.breakpoints[1:])):
+            raise ValueError(f"breakpoints must strictly descend, got {list(self.breakpoints)}")
 
     @property
     def support(self) -> tuple[float, float]:

@@ -5,22 +5,23 @@ A distribution is a weighted mixture of closed-form continuous parts
 finite list of atoms. Atoms support the smoothed-analysis mixtures and the
 point-mass counterexamples; the virtual-cost machinery refuses them.
 
-The virtual cost of type ``c`` is ``c + G(c)/g(c)``. Its ironed version is
-obtained by integrating the virtual cost over cost space, taking the lower
-convex hull of the integral on a kink-refined grid, and differentiating:
-intervals where the hull leaves the integral become flats, everywhere else
-the ironed function follows the raw virtual cost exactly.
+The virtual cost of type ``c`` is ``c + G(c)/g(c)``. It is ironed in
+quantile space, as in Myerson's optimal auction: the virtual cost
+integrated against dG is exactly ``c G(c)``, so the lower convex hull of the
+points ``(G(c), c G(c))`` on a kink-refined grid gives the ironed function
+as its slope. Hull edges that skip grid points become flats (zero-density
+gaps included); everywhere else the ironed function follows the raw
+virtual cost exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 __all__ = [
     "DistributionError",
@@ -70,12 +71,16 @@ class ZeroCdfError(DistributionError):
     """CDF vanishes where a positive value is required."""
 
 
-def _phi_std(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
-
-
-def _phi_std_inv(p: float) -> float:
-    return math.sqrt(2.0) * float(erfinv(2.0 * p - 1.0))
+def _checked(out: np.ndarray, x, xa: np.ndarray, what: str) -> np.ndarray | float:
+    """``out`` as a float for a scalar input ``x``; a NaN raises instead."""
+    if np.isscalar(x) or xa.ndim == 0:
+        out = float(out)
+        if out == out:
+            return out
+    elif not np.isnan(out).any():
+        return out
+    bad = np.ravel(xa)[np.isnan(np.ravel(out))][0]
+    raise DistributionError(f"{what} is NaN at c={bad:g}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,12 @@ class ExponentialPart:
 
 @dataclass(frozen=True)
 class TruncatedNormalPart:
-    """Normal(mu, sigma) conditioned on being at least ``low``."""
+    """Normal(mu, sigma) conditioned on being at least ``low``.
+
+    Tails are ratios of normal survival functions taken in log space, so a
+    lower bound far above ``mu`` neither rounds the CDF to one nor divides
+    zero by zero. ``scipy.special`` is imported here only, on first use.
+    """
 
     mu: float
     sigma: float
@@ -138,28 +148,31 @@ class TruncatedNormalPart:
     def _z(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mu) / self.sigma
 
-    def _tail(self) -> float:
-        return float(1.0 - _phi_std(np.asarray((self.low - self.mu) / self.sigma)))
+    def _log_sf(self, x) -> np.ndarray:
+        """Log of the untruncated normal mass above ``x``."""
+        from scipy.special import log_ndtr
+
+        return log_ndtr(-self._z(x))
 
     def support(self) -> tuple[float, float]:
         return self.low, math.inf
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        lo_p = _phi_std(np.asarray((self.low - self.mu) / self.sigma))
-        val = (_phi_std(self._z(np.maximum(x, self.low))) - lo_p) / self._tail()
+        val = -np.expm1(self._log_sf(np.maximum(x, self.low)) - self._log_sf(self.low))
         return np.where(x <= self.low, 0.0, np.clip(val, 0.0, 1.0))
 
     def pdf(self, x: np.ndarray, side: str) -> np.ndarray:
         inside = x >= self.low if side == "right" else x > self.low
         z = self._z(x)
-        dens = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi)) / self._tail()
+        dens = np.exp(-0.5 * z * z - self._log_sf(self.low)) / (self.sigma * math.sqrt(2.0 * math.pi))
         return np.where(inside, dens, 0.0)
 
     def quantile(self, q: float) -> float:
         if q >= 1.0:
             return math.inf
-        lo_p = float(_phi_std(np.asarray((self.low - self.mu) / self.sigma)))
-        return self.mu + self.sigma * _phi_std_inv(lo_p + q * self._tail())
+        from scipy.special import ndtri_exp
+
+        return self.mu - self.sigma * float(ndtri_exp(math.log1p(-q) + self._log_sf(self.low)))
 
     def kinks(self) -> tuple[float, ...]:
         return (self.low,)
@@ -284,7 +297,7 @@ class TypeDistribution:
             for a, m in self.atoms:
                 out = out + m * ((xa >= a) if atoms == "at" else (xa > a))
             out = np.clip(out, 0.0, 1.0)
-        return float(out) if np.isscalar(x) or xa.ndim == 0 else out
+        return _checked(out, x, xa, "CDF")
 
     def cdf(self, x) -> np.ndarray | float:
         """Right-continuous CDF, clamped outside the support."""
@@ -303,10 +316,7 @@ class TypeDistribution:
         out = np.zeros_like(xa)
         for w, p in self.parts:
             out = out + w * p.pdf(xa, side)
-        return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-
-    def atom_mass_at(self, x: float, tol: float = 1e-12) -> float:
-        return sum(m for a, m in self.atoms if abs(a - x) <= tol)
+        return _checked(out, x, xa, "density")
 
     def quantile(self, q: float) -> float:
         """Generalized inverse ``inf{c : G(c) >= q}``."""
@@ -346,19 +356,19 @@ class TypeDistribution:
 
         Undefined exactly at an atom; raises when the density vanishes.
         Atoms strictly below ``x`` are fine, their mass is folded into G.
+        ``side="auto"`` takes the right-hand density, or the left-hand one
+        where the right-hand one vanishes (at the support top and at the
+        start of a zero-density gap).
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         for a, _ in self.atoms:
             if np.any(np.abs(xa - a) <= 1e-12 * max(1.0, abs(a))):
                 raise UndefinedAtAtomError(f"virtual cost undefined at atom {a:g}")
         if side == "auto":
-            hi = self.c_high
             g = np.asarray(self.pdf(xa, side="right"), dtype=float)
-            if math.isfinite(hi):
-                at_top = xa >= hi
-                if at_top.any():
-                    g_left = np.asarray(self.pdf(xa, side="left"), dtype=float)
-                    g = np.where(at_top, g_left, g)
+            use_left = g <= 0
+            if use_left.any():
+                g = np.where(use_left, np.asarray(self.pdf(xa, side="left"), dtype=float), g)
         else:
             g = np.asarray(self.pdf(xa, side=side), dtype=float)
         if (g <= 0).any():
@@ -512,8 +522,10 @@ class IronedVirtualCost:
     Attributes:
         grid: ascending evaluation grid over the (effective) support.
         values: ironed virtual cost at the grid points.
-        flats: ``(lo, hi, level)`` intervals where the convex hull of the
-            integrated virtual cost departs from the integral itself.
+        flats: ``(lo, hi, level)`` intervals where the lower convex hull of
+            the points ``(G(c), c G(c))`` skips grid points; ``level`` is
+            the hull edge's slope, the dG-weighted mean of the virtual cost
+            over the flat.
     """
 
     grid: np.ndarray
@@ -529,30 +541,22 @@ class IronedVirtualCost:
     def c_high(self) -> float:
         return float(self.grid[-1])
 
-    @property
-    def segments(self) -> tuple[tuple[float, float, str, float], ...]:
-        """Piecewise description: ``(lo, hi, kind, level)`` with kind
-        ``"flat"`` (constant at level) or ``"follow"`` (raw virtual cost;
-        level is the value at the segment's upper end)."""
-        out: list[tuple[float, float, str, float]] = []
-        cursor = self.c_low
-        for lo, hi, lev in self.flats:
-            if lo > cursor:
-                out.append((cursor, lo, "follow", float(self.value(lo))))
-            out.append((lo, hi, "flat", lev))
-            cursor = hi
-        if cursor < self.c_high:
-            out.append((cursor, self.c_high, "follow", float(self.value(self.c_high))))
-        return tuple(out)
-
     def value(self, c) -> np.ndarray | float:
-        """Ironed virtual cost, clamped to the grid's cost range."""
+        """Ironed virtual cost, clamped to the grid's cost range.
+
+        Inside a flat this is the flat's level. A point inside a flat is
+        moved to the flat's lower end (a hull vertex) before the raw virtual
+        cost is evaluated, so it is never evaluated in a zero-density gap,
+        which always lies inside a flat.
+        """
         scalar = np.isscalar(c) or np.asarray(c).ndim == 0
         xa = np.clip(np.atleast_1d(np.asarray(c, dtype=float)), self.c_low, self.c_high)
-        out = np.asarray(self.dist.virtual_cost(xa, side="auto"), dtype=float)
-        out = np.atleast_1d(out)
-        for lo, hi, lev in self.flats:
-            mask = (xa > lo) & (xa < hi)
+        inside = [((xa > lo) & (xa < hi), lo, lev) for lo, hi, lev in self.flats]
+        safe = xa
+        for mask, lo, _ in inside:
+            safe = np.where(mask, lo, safe)
+        out = np.atleast_1d(np.asarray(self.dist.virtual_cost(safe, side="auto"), dtype=float))
+        for mask, _, lev in inside:
             out[mask] = lev
         return float(out[0]) if scalar else out
 
@@ -595,12 +599,16 @@ def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
 
 
 def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCost:
-    """Iron the virtual cost over cost space.
+    """Iron the virtual cost in quantile space (Myerson 1981).
 
-    Integrates the virtual cost on a uniform grid refined with the density
-    kinks, takes the lower convex hull of the integral, and keeps the raw
-    virtual cost wherever the hull touches it. When the virtual cost is
-    already non-decreasing the result follows it pointwise.
+    For an atom-free G the integrated virtual cost is exact without
+    quadrature: ``∫_{c_low}^c φ dG = c G(c)``. On a uniform grid refined with
+    the density kinks, the ironed virtual cost is the slope of the lower
+    convex hull of the points ``(G(c_i), c_i G(c_i))``. A hull edge that
+    skips grid points is a flat at the edge's slope; at the hull's vertices
+    the raw virtual cost is kept. A zero-density gap is a single quantile,
+    which the hull bridges with a flat. When the chord slopes already
+    increase, the virtual cost is non-decreasing and is followed pointwise.
     """
     if dist.has_atoms:
         raise AtomPresentError("ironing requires an atom-free distribution")
@@ -610,37 +618,26 @@ def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCos
     hi = dist.effective_high()
     inner = [k for k in dist.kinks() if lo < k < hi]
     grid = np.unique(np.concatenate([np.linspace(lo, hi, grid_size), np.asarray(inner)]))
+    G = np.asarray(dist.cdf(grid), dtype=float)
+    cG = grid * G
 
-    phi_right = np.asarray(dist.virtual_cost(grid[:-1], side="right"), dtype=float)
-    phi_top = float(dist.virtual_cost(grid[-1], side="left"))
-    phi_at = np.concatenate([phi_right, [phi_top]])
-    phi_left = np.asarray(dist.virtual_cost(grid[1:], side="left"), dtype=float)
+    dG = np.diff(G)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = np.diff(cG) / dG
+    tol = 1e-10 * np.maximum(1.0, np.abs(chord[:-1]))
+    # a zero-density stretch (dG = 0) always needs the hull to bridge it
+    if np.all(dG > 0) and np.all(np.diff(chord) >= -tol):
+        values = np.asarray(dist.virtual_cost(grid, side="auto"), dtype=float)
+        return IronedVirtualCost(grid=grid, values=values, flats=(), dist=dist)
 
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    phi_mid = np.asarray(dist.virtual_cost(mid, side="right"), dtype=float)
-    h = np.diff(grid)
-    panel = h / 6.0 * (phi_right + 4.0 * phi_mid + phi_left)
-    integral = np.concatenate([[0.0], np.cumsum(panel)])
-
-    scale = max(1.0, float(np.max(np.abs(phi_at))))
-    tol = 1e-10 * scale
-    inside_ok = bool(np.all(phi_left >= phi_right - tol))
-    across_ok = bool(np.all(phi_at[1:-1] >= phi_left[:-1] - tol))
-    if inside_ok and across_ok:
-        return IronedVirtualCost(grid=grid, values=phi_at.copy(), flats=(), dist=dist)
-
-    hull = _lower_hull(grid, integral)
-    flats: list[tuple[float, float, float]] = []
-    for a, b in zip(hull[:-1], hull[1:]):
-        if b > a + 1:
-            level = (integral[b] - integral[a]) / (grid[b] - grid[a])
-            flats.append((float(grid[a]), float(grid[b]), float(level)))
-    values = phi_at.copy()
-    for flo, fhi, lev in flats:
-        mask = (grid > flo) & (grid < fhi)
-        values[mask] = lev
-    values = np.maximum.accumulate(values)
-    return IronedVirtualCost(grid=grid, values=values, flats=tuple(flats), dist=dist)
+    hull = _lower_hull(G, cG)
+    flats = tuple(
+        (float(grid[a]), float(grid[b]), float((cG[b] - cG[a]) / (G[b] - G[a])))
+        for a, b in zip(hull[:-1], hull[1:])
+        if b > a + 1 and G[b] > G[a]
+    )
+    iv = IronedVirtualCost(grid=grid, values=grid, flats=flats, dist=dist)  # values set next
+    return replace(iv, values=np.maximum.accumulate(iv.value(grid)))
 
 
 def iron_inverse(iv: IronedVirtualCost, q: float) -> float:

@@ -198,6 +198,20 @@ class TestCheckIc:
         assert code == 1
         assert "missing key 'assignment'" in err
 
+    def test_ascending_breakpoints_rejected(self, instance_file, tmp_path, capsys):
+        contract = {
+            "profiles": [[0.0, 50.0, 150.0]],
+            "assignment": {"breakpoints": [0.0, 40.0, 80.0], "profile_index": [0, 0]},
+        }
+        p = tmp_path / "contract.json"
+        p.write_text(json.dumps(contract))
+        code, _, err = run(
+            ["check-ic", "--instance", instance_file, "--contract", str(p)], capsys
+        )
+        assert code == 1
+        assert str(p) in err
+        assert "breakpoints" in err
+
 
 def test_grid_env_override(instance_file, capsys, monkeypatch):
     monkeypatch.setenv("AGENCY_GRID", "512")

@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import truncnorm
 
 from agency import (
     AtomPresentError,
+    DistributionError,
     UndefinedAtAtomError,
     ZeroCdfError,
     ZeroDensityError,
@@ -62,6 +66,36 @@ class TestCdf:
             assert np.max(np.abs(num - exact)) < 1e-8 * max(1.0, exact.max())
 
 
+class TestTruncatedNormal:
+    @pytest.mark.parametrize("mu", [-50.0, -8.0, 0.0, 2.0])
+    def test_matches_scipy_truncnorm(self, mu):
+        d = truncated_normal(mu, 1.0, 0.0)
+        ref = truncnorm(-mu, np.inf, loc=mu, scale=1.0)
+        xs = ref.ppf(np.array([0.001, 0.1, 0.5, 0.9, 0.999]))
+        assert np.asarray(d.cdf(xs)) == pytest.approx(ref.cdf(xs), rel=1e-9)
+        assert np.asarray(d.pdf(xs)) == pytest.approx(ref.pdf(xs), rel=1e-9)
+        for q in (0.01, 0.5, 0.99):
+            assert d.quantile(q) == pytest.approx(ref.ppf(q), rel=1e-9)
+        assert np.all(np.isfinite(np.asarray(d.virtual_cost(xs))))
+
+    def test_far_lower_bound_keeps_its_tail(self):
+        # 1 - Phi(8) is below half an ulp of 1, which rounded the CDF to one
+        assert truncated_normal(-8.0, 1.0, 0.0).cdf(0.5) == pytest.approx(0.98476, abs=1e-5)
+
+    def test_nan_raises_named_error(self):
+        hopeless = truncated_normal(-1e200, 1.0, 0.0)  # log tail is -inf
+        for method in (hopeless.cdf, hopeless.pdf, hopeless.virtual_cost):
+            with np.errstate(all="ignore"), pytest.raises(DistributionError):
+                method(1.0)
+        with pytest.raises(DistributionError, match="NaN"):
+            uniform(0, 1).cdf(float("nan"))
+
+    def test_scipy_imported_lazily(self):
+        probe = "import sys, agency.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestVirtualCost:
     def test_uniform_doubles(self):
         u = uniform(0, 3)
@@ -113,16 +147,21 @@ class TestIron:
         assert len(iv.flats) >= 1
         vals = np.asarray(iv.value(np.linspace(0, 2, 2000)))
         assert np.all(np.diff(vals) >= -1e-9)
-        # hull property: integral of the ironed function equals the lower
-        # convex hull of the integral of the raw one (brute-force check)
-        grid = iv.grid
-        mid = 0.5 * (grid[:-1] + grid[1:])
-        raw = np.concatenate([[0.0], np.cumsum(np.asarray(phi(mid)) * np.diff(grid))])
-        ironed_int = np.concatenate(
-            [[0.0], np.cumsum(np.asarray(iv.value(mid)) * np.diff(grid))]
-        )
-        hull = np.asarray(_lower_hull_vals(grid, raw))
-        assert np.max(np.abs(ironed_int - hull)) < 1e-8 * max(1.0, raw.max())
+        # quantile-space hull: the flat is the common tangent of (G, cG) at
+        # slope 1.5, touching at c = 0.75 and c = 1.125
+        (lo, hi, level), = iv.flats
+        assert level == pytest.approx(1.5, abs=1e-5)
+        assert (lo, hi) == pytest.approx((0.75, 1.125), abs=1e-3)
+        # dG invariant, by independent midpoint quadrature: the level is the
+        # dG-weighted mean of the raw virtual cost over the flat, and the
+        # ironed function keeps the total ∫ φ dG = c_high G(c_high) = 2
+        edges = np.linspace(0, 2, 400_001)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        dG = np.asarray(dist.pdf(mid)) * np.diff(edges)
+        on_flat = (mid > lo) & (mid < hi)
+        raw_mean = np.sum(np.asarray(phi(mid[on_flat])) * dG[on_flat]) / np.sum(dG[on_flat])
+        assert level == pytest.approx(raw_mean, rel=1e-6)
+        assert np.sum(np.asarray(iv.value(mid)) * dG) == pytest.approx(2.0, rel=1e-8)
 
     def test_atoms_rejected(self):
         with pytest.raises(AtomPresentError):
@@ -131,19 +170,6 @@ class TestIron:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             iron(uniform(0, 1), grid_size=32)
-
-
-def _lower_hull_vals(x, y):
-    hull = []
-    for i in range(len(x)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a]) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return np.interp(x, x[hull], y[hull])
 
 
 class TestIronInverse:
