@@ -23,7 +23,6 @@ from .typedist import (
     exponential,
     from_spec,
     iron,
-    iron_inverse,
     ironed,
     mixture,
     piecewise,

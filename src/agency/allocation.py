@@ -167,10 +167,9 @@ def virtual_rule(
     q_rule = envelope_rule(instance, 1.0, (q_lo, q_hi))
 
     pieces = []  # descending cost
-    z = q_rule.breakpoints
+    z = [hi, *iv.inverse(np.asarray(q_rule.breakpoints[1:-1])).tolist(), lo]
     for k, action in enumerate(q_rule.actions):
-        c_hi = hi if k == 0 else min(hi, iv.inverse(z[k]))
-        c_lo = lo if k == len(q_rule.actions) - 1 else max(lo, iv.inverse(z[k + 1]))
+        c_hi, c_lo = min(hi, z[k]), max(lo, z[k + 1])
         if c_hi > c_lo:
             pieces.append((c_lo, c_hi, action))
     if not pieces:

@@ -229,7 +229,7 @@ def cmd_sweep_alpha(args) -> int:
     inst, embedded, _ = load_instance(args.instance)
     dist = _need_dist(args, embedded)
     alphas = np.linspace(0.0, 1.0, args.steps)
-    table = [(float(a), linear_revenue(inst, dist, float(a))) for a in alphas]
+    table = list(zip(alphas.tolist(), linear_revenue(inst, dist, alphas).tolist()))
     a_star, rev = best_linear(inst, dist)
     if args.format == "csv":
         buf = io.StringIO()
@@ -308,13 +308,11 @@ def _checks_gap(args) -> list[dict]:
     ratio = wel_fact / max(rev, 1e-12)
     checks.append({"name": "welfare_to_linear_ratio", "value": ratio,
                    "expected": wel_fact / 2.0, "passed": ratio >= wel_fact / 2.0 - 1e-6})
-    for i in range(2, n + 1):
-        # at the minimal share the tie-break needs utility rounding
-        # (~eps * R_i = eps / delta^i) to stay inside the 1e-9 tie band
-        if delta ** i < 3e-7:
-            break
-        a_i = minimal_linear_alpha(ex, i, 1.0)
-        r_i = linear_revenue(ex.instance, pm, a_i)
+    # at the minimal share the tie-break needs utility rounding
+    # (~eps * R_i = eps / delta^i) to stay inside the 1e-9 tie band
+    ranks = [i for i in range(2, n + 1) if delta ** i >= 3e-7]
+    shares = np.asarray([minimal_linear_alpha(ex, i, 1.0) for i in ranks])
+    for i, r_i in zip(ranks, linear_revenue(ex.instance, pm, shares).tolist()):
         checks.append({"name": f"revenue_at_minimal_alpha_{i}", "value": r_i,
                        "expected": 1.0, "passed": abs(r_i - 1.0) <= 1e-6})
     return checks

@@ -118,19 +118,6 @@ def slowly_increasing_beta(
     )
 
 
-def _inverse_on_grid(iv: IronedVirtualCost, q: np.ndarray) -> np.ndarray:
-    """Vectorized scan-grade inverse of the ironed virtual cost."""
-    vals = iv.values
-    grid = iv.grid
-    q = np.asarray(q, dtype=float)
-    idx = np.clip(np.searchsorted(vals, q, side="right") - 1, 0, len(grid) - 2)
-    v0, v1 = vals[idx], vals[idx + 1]
-    w = np.where(v1 > v0, (q - v0) / np.where(v1 > v0, v1 - v0, 1.0), 1.0)
-    out = grid[idx] + np.clip(w, 0.0, 1.0) * (grid[idx + 1] - grid[idx])
-    out = np.where(q < vals[0], grid[0], out)
-    return np.where(q >= vals[-1], grid[-1], out)
-
-
 def slow_virtual_beta(
     dist: TypeDistribution,
     iv: IronedVirtualCost | None,
@@ -146,7 +133,7 @@ def slow_virtual_beta(
 
     def ratio(c):
         c = np.asarray(c, dtype=float)
-        den = np.asarray(dist.cdf(_inverse_on_grid(iv, c)), dtype=float)
+        den = np.asarray(dist.cdf(iv.inverse(c)), dtype=float)
         num = np.asarray(dist.cdf(alpha * c), dtype=float)
         with np.errstate(all="ignore"):
             return np.where(den > 1e-300, num / den, np.nan)

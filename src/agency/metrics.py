@@ -109,48 +109,68 @@ def welfare(
 # linear-contract revenue
 
 
-def add_atom_revenue(total: float, instance: Instance, dist: TypeDistribution, T: np.ndarray) -> float:
+def add_atom_revenue(
+    total: float | np.ndarray, instance: Instance, dist: TypeDistribution, T: np.ndarray
+) -> float | np.ndarray:
     """``total`` plus, per atom, its mass times the principal's utility from
     the atom type's tie-broken best response to the expected payments
-    ``T`` (one row per atom, or a single row for all). Terms are added to
-    ``total`` one at a time, so the sum does not depend on the batching."""
+    ``T``: one row per atom, or a single row for all. A leading axis of
+    ``T`` (``[B, 1, K]``) gives one ``total`` per row. Terms are added one
+    at a time, so the sum does not depend on the batching."""
     R = instance.expected_reward_array()
-    a = best_responses(T, [loc for loc, _ in dist.atoms], instance.gamma_array(), R)
-    for (_, mass), u in zip(dist.atoms, (R - T)[np.arange(len(T)), a].tolist()):
-        total += mass * u
+    T = np.broadcast_to(T, T.shape[:-2] + (len(dist.atoms), T.shape[-1]))
+    rows = T.reshape(-1, T.shape[-1])
+    locs = [loc for loc, _ in dist.atoms] * (len(rows) // len(dist.atoms))
+    a = best_responses(rows, locs, instance.gamma_array(), R)
+    u = (R - rows)[np.arange(len(rows)), a].reshape(T.shape[:-1])
+    for (_, mass), u_atom in zip(dist.atoms, u.T):
+        total = total + mass * u_atom
     return total
 
 
-def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float) -> float:
-    """Expected revenue of the linear contract with share ``alpha``.
+def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np.ndarray) -> float | np.ndarray:
+    """Expected revenue of the linear contract with share ``alpha``, a float
+    for a scalar share and an array for an array of shares.
 
     Closed form: the share-``alpha`` best-response rule's interval masses
     times ``(1 - alpha) * R``; atoms are resolved by the tie-broken best
-    response so knife-edge incentives behave like the model says.
+    response so knife-edge incentives behave like the model says. The rule
+    for share ``alpha`` is the welfare rule with its crossings scaled, so
+    every share takes its actions from one envelope and its masses from one
+    CDF call.
     """
-    if not 0.0 <= alpha <= 1.0:
+    shares = np.asarray(alpha, dtype=float)
+    if not np.all((0.0 <= shares) & (shares <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
+    al = np.atleast_1d(shares)
     lo, hi = dist.c_low, dist.effective_high()
     if hi <= lo:
         hi = lo + 1.0  # pure point mass: rule support is immaterial
-    rule = envelope_rule(instance, alpha, (lo, hi))
     R = instance.expected_reward_array()
-    total = 0.0
-    for seg_lo, seg_hi, action in rule.intervals():
-        mass = float(dist.cdf_continuous(seg_hi)) - float(dist.cdf_continuous(seg_lo))
-        total += mass * (1.0 - alpha) * R[action]
+    g = instance.gamma_array()
+    acts = envelope_rule(instance, 1.0, (0.0, math.inf)).actions[::-1]  # ascending cost
+    a, b = list(acts[:-1]), list(acts[1:])
+    T = al[:, None] * R
+    # the envelope's own crossing expression: alpha * z differs in the last bit
+    cross = (T[:, a] - T[:, b]) / (g[a] - g[b])
+    edges = np.clip(np.pad(cross, ((0, 0), (1, 1)), constant_values=(lo, hi)), lo, hi)
+    G = np.asarray(dist.cdf_continuous(edges), dtype=float)
+    total = np.zeros(len(al))
+    for k, action in enumerate(acts):
+        total = total + (G[:, k + 1] - G[:, k]) * (1.0 - al) * R[action]
     if dist.atoms:
-        T = instance.expected_payments(alpha * instance.reward_array())
-        total = add_atom_revenue(total, instance, dist, T[None, :])
-    return total
+        r = instance.reward_array()
+        T = np.array([instance.expected_payments(x * r) for x in al])
+        total = add_atom_revenue(total, instance, dist, T[:, None, :])
+    return float(total[0]) if shares.ndim == 0 else total
 
 
 def linear_revenue_quadrature(
     instance: Instance, dist: TypeDistribution, alpha: float, panels: int = SIMPSON_PANELS
 ) -> float:
     """Quadrature route for the same quantity, via pointwise argmax."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     R = instance.expected_reward_array()
     g = instance.gamma_array()
 
@@ -309,32 +329,25 @@ def _welfare_breakpoint_candidates(instance: Instance) -> list[float]:
     return sorted(set(out))
 
 
-def best_linear(
-    instance: Instance, dist: TypeDistribution, grid: int = ALPHA_GRID
-) -> tuple[float, float]:
+def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, float]:
     """Revenue-maximizing linear share.
 
-    Candidates: a uniform grid, plus every ratio q/z of a distribution
-    landmark q (atom, kink, support end, or inverse-ironed welfare
-    breakpoint) to a welfare crossing z; these are exactly where the
-    revenue curve kinks. A golden-section pass then polishes the best
-    bracket.
+    Candidates: a uniform grid of :data:`ALPHA_GRID` shares, plus every
+    ratio q/z of a distribution landmark q (atom, kink, support end, or
+    inverse-ironed welfare breakpoint) to a welfare crossing z; these are
+    exactly where the revenue curve kinks. A golden-section pass then
+    polishes the best bracket.
     """
     zs = _welfare_breakpoint_candidates(instance)
     landmarks: list[float] = [dist.c_low, dist.effective_high()]
     landmarks += [loc for loc, _ in dist.atoms]
     landmarks += [k for k in dist.kinks() if math.isfinite(k)]
     if not dist.has_atoms:
-        iv = ironed(dist)
-        landmarks += [iv.inverse(z) for z in zs]
-    cands = set(np.linspace(0.0, 1.0, grid).tolist())
-    for q in landmarks:
-        for z in zs:
-            a = q / z if z > 0 else math.inf
-            if 0.0 < a <= 1.0:
-                cands.add(float(a))
-    alphas = sorted(cands)
-    revs = [linear_revenue(instance, dist, a) for a in alphas]
+        landmarks += ironed(dist).inverse(np.asarray(zs)).tolist()
+    ratios = (np.asarray(landmarks)[:, None] / np.asarray(zs)[None, :]).ravel()
+    ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]
+    alphas = sorted(set(np.linspace(0.0, 1.0, ALPHA_GRID).tolist()) | set(ratios.tolist()))
+    revs = linear_revenue(instance, dist, np.asarray(alphas))
     k = int(np.argmax(revs))
     best_a, best_v = alphas[k], revs[k]
     lo = alphas[k - 1] if k > 0 else 0.0
@@ -376,5 +389,5 @@ def compute_metrics(
     wel = welfare(instance, dist)
     vwel = None if dist.has_atoms else virtual_welfare(instance, dist)
     a_star, rev = best_linear(instance, dist)
-    apx = tuple((float(a), linear_revenue(instance, dist, a)) for a in alphas)
+    apx = tuple(zip(map(float, alphas), linear_revenue(instance, dist, np.asarray(alphas)).tolist()))
     return Metrics(wel=wel, vwel=vwel, alpha_best=a_star, revenue_best=rev, apx_at=apx)

@@ -39,7 +39,6 @@ __all__ = [
     "point_mass",
     "from_spec",
     "iron",
-    "iron_inverse",
     "ironed",
     "rhr",
 ]
@@ -560,27 +559,31 @@ class IronedVirtualCost:
             out[mask] = lev
         return float(out[0]) if scalar else out
 
-    def inverse(self, q: float) -> float:
-        """Largest cost whose ironed virtual cost does not exceed ``q``."""
-        lo, hi = self.c_low, self.c_high
-        if q < float(self.value(lo)):
-            return lo
-        if q >= float(self.value(hi)):
-            return hi
+    def inverse(self, q: float | np.ndarray) -> np.ndarray | float:
+        """Largest cost whose ironed virtual cost does not exceed ``q``, for
+        a level or an array of levels: one bisection runs on all levels
+        together, and each level stops once its bracket closes."""
+        qa = np.atleast_1d(np.asarray(q, dtype=float))
+        lo = np.full(qa.shape, self.c_low)
+        hi = np.full(qa.shape, self.c_high)
+        below = qa < float(self.value(self.c_low))
+        above = qa >= float(self.value(self.c_high))
+        live = np.flatnonzero(~(below | above))
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.value(mid)) <= q:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            if not len(live):
                 break
+            mid = 0.5 * (lo[live] + hi[live])
+            left = self.value(mid) <= qa[live]
+            lo[live[left]] = mid[left]
+            hi[live[~left]] = mid[~left]
+            live = live[hi[live] - lo[live] > 1e-15 * np.maximum(1.0, np.abs(hi[live]))]
         # a bracket this tight that still contains a density kink means the
         # ironed virtual cost jumps across q there; the supremum is the kink
-        for k in self.dist.kinks():
-            if lo <= k <= hi:
-                return float(k)
-        return lo
+        kinks = np.asarray(self.dist.kinks())
+        bracketed = (lo[:, None] <= kinks) & (kinks <= hi[:, None])
+        out = np.where(bracketed.any(axis=1), kinks[bracketed.argmax(axis=1)], lo)
+        out = np.where(below, self.c_low, np.where(above, self.c_high, out))
+        return float(out[0]) if np.ndim(q) == 0 else out
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
@@ -602,22 +605,26 @@ def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCos
     """Iron the virtual cost in quantile space (Myerson 1981).
 
     For an atom-free G the integrated virtual cost is exact without
-    quadrature: ``∫_{c_low}^c φ dG = c G(c)``. On a uniform grid refined with
-    the density kinks, the ironed virtual cost is the slope of the lower
-    convex hull of the points ``(G(c_i), c_i G(c_i))``. A hull edge that
-    skips grid points is a flat at the edge's slope; at the hull's vertices
-    the raw virtual cost is kept. A zero-density gap is a single quantile,
-    which the hull bridges with a flat. When the chord slopes already
-    increase, the virtual cost is non-decreasing and is followed pointwise.
+    quadrature: ``∫_{c_low}^c φ dG = c G(c)``. On a uniform grid over the
+    range that carries mass, refined with the density kinks, the ironed
+    virtual cost is the slope of the lower convex hull of the points
+    ``(G(c_i), c_i G(c_i))``. A hull edge that skips grid points is a flat
+    at the edge's slope; at the hull's vertices the raw virtual cost is
+    kept. A zero-density gap is a single quantile, which the hull bridges
+    with a flat. When the chord slopes already increase, the virtual cost
+    is non-decreasing and is followed pointwise.
     """
     if dist.has_atoms:
         raise AtomPresentError("ironing requires an atom-free distribution")
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
-    lo = dist.c_low
-    hi = dist.effective_high()
-    inner = [k for k in dist.kinks() if lo < k < hi]
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, grid_size), np.asarray(inner)]))
+    lo, hi = dist.c_low, dist.effective_high()
+    ends = np.asarray([lo, *(k for k in dist.kinks() if lo < k < hi), hi])
+    # drop zero-density stretches at the ends: the grid runs from the last
+    # kink with G = 0 to the first with G = G(hi)
+    G_ends = np.asarray(dist.cdf(ends), dtype=float)
+    ends = ends[np.flatnonzero(G_ends > G_ends[0])[0] - 1 : np.flatnonzero(G_ends < G_ends[-1])[-1] + 2]
+    grid = np.unique(np.concatenate([np.linspace(ends[0], ends[-1], grid_size), ends[1:-1]]))
     G = np.asarray(dist.cdf(grid), dtype=float)
     cG = grid * G
 
@@ -638,11 +645,6 @@ def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCos
     )
     iv = IronedVirtualCost(grid=grid, values=grid, flats=flats, dist=dist)  # values set next
     return replace(iv, values=np.maximum.accumulate(iv.value(grid)))
-
-
-def iron_inverse(iv: IronedVirtualCost, q: float) -> float:
-    """Generalized inverse of the ironed virtual cost."""
-    return iv.inverse(q)
 
 
 @lru_cache(maxsize=64)

@@ -68,6 +68,18 @@ class TestSlowVirtual:
         ratio = num / np.maximum(den, 1e-300)
         assert got <= ratio.min() + 1e-6
 
+    def test_gapped_mixture_matches_exact_inverse_scan(self):
+        # the ratio's infimum sits at the flat level, where the inverse jumps
+        # across the gap; a linearly interpolated inverse gives 0.765567
+        dist = mixture([(0.4, uniform(0, 3)), (0.6, uniform(5, 9))])
+        iv = iron(dist)
+        qs = np.concatenate([np.linspace(0.0, float(iv.values[-1]), 100_001), [lev for _, _, lev in iv.flats]])
+        den = np.asarray(dist.cdf(iv.inverse(qs)))
+        num = np.asarray(dist.cdf(0.5 * qs))
+        exact = float(np.min(np.where(den > 0, num / np.maximum(den, 1e-300), np.inf)))
+        assert exact == pytest.approx(0.765469, abs=1e-6)
+        assert slow_virtual_beta(dist, iv, 0.5, 0.0).value == pytest.approx(exact, abs=1e-8)
+
     def test_dominates_plain_slow_increase(self):
         for dist in (exponential(1.0), uniform(0, 3), truncated_normal(1, 2, 0)):
             plain = slowly_increasing_beta(dist, 0.5, 0.2).value

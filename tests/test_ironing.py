@@ -138,3 +138,15 @@ def test_gapped_mixture_irons_across_the_gap():
     assert np.all(np.diff(vals) >= -1e-12)
     assert iv.value(4.0) == level
     assert iv.value(3.0) == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("segments", [[(0, 1, 0), (1, 2, 1)], [(0, 1, 1), (1, 2, 0)]])
+def test_zero_density_at_a_support_end(segments):
+    # no mass on [0, 1] (or [1, 2]): the ironing grid spans only the mass
+    dist = piecewise(segments)
+    iv = iron(dist)
+    assert (iv.c_low, iv.c_high) == ((1.0, 2.0) if segments[0][2] == 0 else (0.0, 1.0))
+    assert np.all(np.diff(iv.values) >= 0)
+    for seed in range(3):
+        inst, _ = scaled(seed, binary=False)
+        _assert_upper_bound(virtual_welfare(inst, dist), best_linear(inst, dist)[1])

@@ -17,7 +17,9 @@ from agency import (
     virtual_welfare_quadrature,
     welfare,
 )
-from agency.examples import gap, minimal_linear_alpha
+from agency.examples import gap, minimal_linear_alpha, smoothed
+from agency.instance import best_responses
+from agency.metrics import _welfare_breakpoint_candidates
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
 
@@ -49,6 +51,67 @@ class TestLinearRevenue:
             cf = linear_revenue(inst, dist, alpha)
             qd = linear_revenue_quadrature(inst, dist, alpha)
             assert cf == pytest.approx(qd, rel=1e-6, abs=1e-9)
+
+
+def per_share_revenue(inst, dist, alpha):
+    """Reference route, one share at a time: the share's own envelope rule,
+    two CDF calls per piece, then the atoms one by one."""
+    lo, hi = dist.c_low, dist.effective_high()
+    if hi <= lo:
+        hi = lo + 1.0
+    R = inst.expected_reward_array()
+    total = 0.0
+    for seg_lo, seg_hi, action in envelope_rule(inst, alpha, (lo, hi)).intervals():
+        mass = float(dist.cdf_continuous(seg_hi)) - float(dist.cdf_continuous(seg_lo))
+        total += mass * (1.0 - alpha) * R[action]
+    if dist.atoms:
+        T = inst.expected_payments(alpha * inst.reward_array())
+        locs = [loc for loc, _ in dist.atoms]
+        acts = best_responses(T[None, :], locs, inst.gamma_array(), R)
+        for (_, mass), a in zip(dist.atoms, acts):
+            total += mass * float(R[a] - T[a])
+    return total
+
+
+def kink_shares(inst, dist):
+    """Shares where the revenue curve kinks: landmark over welfare crossing."""
+    lands = [dist.c_low, dist.effective_high(), *(k for k in dist.kinks() if math.isfinite(k))]
+    return [q / z for q in lands for z in _welfare_breakpoint_candidates(inst) if 0 < q / z <= 1]
+
+
+def revenue_curve_pairs():
+    ex = smoothed(0.1)
+    gp = gap(n=5, delta=0.05)
+    return battery(11, 8) + [(ex.instance, ex.distributions["smoothed"]),
+                             (gp.instance, gp.distributions["point_mass"])]
+
+
+class TestRevenueCurve:
+    @pytest.mark.parametrize("k", range(10))
+    def test_array_matches_per_share_bit_for_bit(self, k):
+        inst, dist = revenue_curve_pairs()[k]
+        shares = np.asarray([0.0, 1.0, *kink_shares(inst, dist), *np.linspace(0.0, 1.0, 41)])
+        got = linear_revenue(inst, dist, shares)
+        assert isinstance(got, np.ndarray) and got.shape == shares.shape
+        assert got.tolist() == [per_share_revenue(inst, dist, float(a)) for a in shares]
+
+    def test_scalar_share_returns_float(self):
+        inst, dist = revenue_curve_pairs()[-2]
+        got = linear_revenue(inst, dist, 0.3)
+        assert type(got) is float
+        assert got == linear_revenue(inst, dist, np.asarray([0.3]))[0]
+
+    def test_one_bad_share_raises(self):
+        inst, dist = battery(11, 1)[0]
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+                linear_revenue(inst, dist, np.asarray([0.2, bad, 0.4]))
+
+    def test_quadrature_rejects_share_above_one(self):
+        inst, dist = battery(11, 1)[0]
+        for route in (linear_revenue, linear_revenue_quadrature):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+                route(inst, dist, 1.5)
 
 
 class TestWelfare:

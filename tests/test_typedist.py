@@ -15,7 +15,6 @@ from agency import (
     exponential,
     from_spec,
     iron,
-    iron_inverse,
     mixture,
     piecewise,
     point_mass,
@@ -175,7 +174,7 @@ class TestIron:
 class TestIronInverse:
     def test_uniform(self):
         iv = iron(uniform(0, 1))
-        assert iron_inverse(iv, 1.0) == pytest.approx(0.5, abs=1e-9)
+        assert iv.inverse(1.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_counterexample_jumps(self):
         iv = iron(non_implement_dist())
@@ -183,22 +182,38 @@ class TestIronInverse:
         grid = np.arange(0, 10, 1e-4)
         phi = np.asarray(non_implement_dist().virtual_cost(np.maximum(grid, 1e-9)))
         oracle = grid[phi <= 50].max()
-        assert iron_inverse(iv, 50.0) == pytest.approx(4.0, abs=1e-6)
-        assert abs(iron_inverse(iv, 50.0) - oracle) < 2e-4
-        assert iron_inverse(iv, 100.0) == pytest.approx(9.0, abs=1e-6)
-        assert iron_inverse(iv, 40.0) == pytest.approx(1.0, abs=1e-6)
+        assert iv.inverse(50.0) == pytest.approx(4.0, abs=1e-6)
+        assert abs(iv.inverse(50.0) - oracle) < 2e-4
+        assert iv.inverse(100.0) == pytest.approx(9.0, abs=1e-6)
+        assert iv.inverse(40.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_clamps(self):
         iv = iron(uniform(1, 2))
-        assert iron_inverse(iv, 0.0) == 1.0
-        assert iron_inverse(iv, 1e9) == 2.0
+        assert iv.inverse(0.0) == 1.0
+        assert iv.inverse(1e9) == 2.0
+
+    def test_batch_matches_one_at_a_time(self):
+        for dist in (uniform(0, 2), exponential(1.0), truncated_normal(1, 2, 0), non_implement_dist()):
+            iv = iron(dist)
+            lo, hi = float(iv.values[0]), float(iv.values[-1])
+            # below and above the range, the range ends, the interior, and the
+            # counterexample's jump levels (kink rule: 1 and 4; then 9)
+            levels = np.concatenate([[lo - 1.0, hi + 1.0, lo, hi, 40.0, 50.0, 100.0], np.linspace(lo, hi, 23)])
+            got = iv.inverse(levels)
+            assert isinstance(got, np.ndarray) and got.shape == levels.shape
+            assert got.tolist() == [iv.inverse(float(q)) for q in levels]
+        iv = iron(non_implement_dist())
+        assert iv.inverse(np.asarray([40.0, 50.0])).tolist() == [1.0, 4.0]
+        assert iv.inverse(100.0) == pytest.approx(9.0, abs=1e-12)
+        assert type(iv.inverse(50.0)) is float
+        assert iv.inverse(np.asarray([])).shape == (0,)
 
     def test_round_trip_property(self):
         for dist in (uniform(0, 2), exponential(1.0), non_implement_dist()):
             iv = iron(dist)
             for c in np.linspace(dist.c_low + 1e-6, iv.c_high - 1e-6, 25):
                 q = float(iv.value(c))
-                assert iron_inverse(iv, q) >= c - 1e-7
+                assert iv.inverse(q) >= c - 1e-7
                 assert q >= c - 1e-9  # ironed virtual cost dominates cost
 
 
