@@ -62,6 +62,7 @@ from .incentives import (
     MenuContract,
     MenuIcReport,
     PreconditionError,
+    best_contract,
     binary_action_optimal,
     binary_outcome_transform,
     certify_non_implementable_at,

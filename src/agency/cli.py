@@ -364,8 +364,7 @@ def _checks_non_implementable(args) -> list[dict]:
     err = max(abs(b - e) for b, e in zip(bps, (1.0, 4.0, 9.0)))
     checks.append({"name": "virtual_rule_breakpoints", "value": bps, "expected": [1.0, 4.0, 9.0],
                    "passed": len(bps) == 3 and err <= 1e-6})
-    box = (0.0, args.box_hi) if args.box_hi else None
-    cert = certify_non_implementable_at(inst, rule, 4.0, payment_box=box, step=args.step)
+    cert = certify_non_implementable_at(inst, rule, 4.0)
     checks.append({"name": "certificate_at_4", "value": cert.to_dict(), "expected": True,
                    "passed": cert.certified})
     return checks
@@ -399,13 +398,13 @@ def _checks_menu(args) -> list[dict]:
 
 
 def _checks_non_monotone(args) -> list[dict]:
-    audit = non_monotone_audit(args.delta, args.epsilon, step=args.step)
+    audit = non_monotone_audit(args.delta, args.epsilon)
     return [
         {"name": "revenue_H_exact", "value": audit["revenue_H"], "expected": 0.5,
          "passed": audit["revenue_H"] == 0.5},
         {"name": "revenue_G_below_half", "value": audit["revenue_G_upper"], "expected": 0.5,
-         "passed": audit["revenue_G_upper"] < 0.5, "grid_relative": True,
-         "best_t": audit["best_t_for_G"]},
+         "passed": audit["revenue_G_upper"] < 0.5, "grid_relative": False,
+         "lp_status": audit["lp_status"], "best_t": audit["best_t_for_G"]},
     ]
 
 
@@ -506,8 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--r1", type=float, default=10.0)
     pr.add_argument("--r2", type=float, default=None)
     pr.add_argument("--cbar", type=float, default=None)
-    pr.add_argument("--step", type=float, default=None)
-    pr.add_argument("--box-hi", type=float, default=None)
     pr.add_argument("--out")
     pr.set_defaults(func=cmd_reproduce)
 
@@ -534,7 +531,6 @@ def _fill_defaults(args) -> None:
         elif args.example == "non_monotone":
             args.delta = 0.02 if args.delta is None else args.delta
             args.epsilon = 0.01 if args.epsilon is None else args.epsilon
-            args.step = 0.01 if args.step is None else args.step
         elif args.example == "smoothed":
             args.epsilon = 0.1 if args.epsilon is None else args.epsilon
 

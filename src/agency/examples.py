@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance, PaymentProfile, best_response, best_responses
-from .incentives import MenuContract
+from .instance import Instance, PaymentProfile, best_response
+from .incentives import MenuContract, best_contract
 from .typedist import TypeDistribution, mixture, piecewise, point_mass, uniform
 
 EXAMPLE_IDS = ("gap", "scaling_uniform", "non_monotone", "menu", "non_implementable", "smoothed")
@@ -196,54 +196,25 @@ def non_monotone(delta: float = 0.02, epsilon: float = 0.01) -> CanonicalExample
     )
 
 
-def non_monotone_audit(
-    delta: float = 0.02,
-    epsilon: float = 0.01,
-    step: float = 0.01,
-    box: tuple[float, float] = (0.0, 2.0),
-    chunk: int = 400_000,
-) -> dict:
-    """Exact revenue under H versus a grid search over contracts for G.
+def non_monotone_audit(delta: float = 0.02, epsilon: float = 0.01) -> dict:
+    """Exact revenue under H against the best contract for G.
 
     The explicit contract paying 1 on outcome 2 earns exactly one half
-    under H. For G the audit enumerates all payment profiles on the grid
-    (the null-outcome payment pinned to zero: it only subsidizes opting
-    out) and reports the best revenue found, which stays below one half.
+    under H; for G, the best over every payment profile
+    (:func:`agency.incentives.best_contract`) stays below one half.
     """
     ex = non_monotone(delta, epsilon)
-    inst = ex.instance
-    br = best_response(inst, (0.0, 0.0, 1.0, 0.0), 1.0)
-    revenue_h = br.principal_utility
-
-    F = inst.prob_matrix()
-    g = inst.gamma_array()
-    R = inst.expected_reward_array()
-    axis = np.arange(box[0], box[1] + step / 2.0, step)
-    total = len(axis) ** 3
-    best_rev = -math.inf
-    best_t = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        coords = np.stack(np.unravel_index(idx, (len(axis),) * 3), axis=1)
-        t_rest = axis[coords]  # payments on outcomes 1..3
-        T = t_rest @ F[:, 1:].T  # (B, 4); null-outcome payment is zero
-        a0 = best_responses(T, 0.0, g, R)
-        a1 = best_responses(T, 1.0, g, R)
-        rows = np.arange(len(idx))
-        rev = epsilon * (R[a0] - T[rows, a0]) + (1.0 - epsilon) * (R[a1] - T[rows, a1])
-        k = int(np.argmax(rev))
-        if float(rev[k]) > best_rev:
-            best_rev = float(rev[k])
-            best_t = (0.0, *[float(v) for v in t_rest[k]])
+    br = best_response(ex.instance, (0.0, 0.0, 1.0, 0.0), 1.0)
+    revenue_g, best_t, status = best_contract(ex.instance, ex.distributions["G"])
     return {
-        "revenue_H": float(revenue_h),
-        "revenue_G_upper": float(best_rev),
+        "revenue_H": float(br.principal_utility),
+        "revenue_G_upper": revenue_g,
         "best_t_for_G": best_t,
         "action_under_H": br.action,
-        "grid_step": step,
-        "box": list(box),
-        "grid_relative": True,
-        "gap_confirmed": bool(revenue_h >= 0.5 and best_rev < 0.5),
+        "lp_status": status,
+        "grid_relative": False,
+        "gap_confirmed": bool(br.principal_utility >= 0.5 and revenue_g < 0.5),
+        "box": [0.0, 0.0], "grid_step": 1.0,  # the grid audit's fields, read by the benchmark's tracer
     }
 
 

@@ -1,4 +1,4 @@
-"""Incentive compatibility: payment identity, curvature checks, menus.
+"""Incentive compatibility: payment identity, curvature checks, exact LPs, menus.
 
 The implementability test for an allocation rule x anchored at type c and
 payments t is that the running integral of ``gamma[x(z)] - gamma[i*(t,z)]``
@@ -6,14 +6,17 @@ from c never becomes positive. Writing W(c) for the remaining-effort
 integral of the rule and U_t for the agent's utility envelope under t, the
 integral from c to c' equals ``h(c) - h(c')`` with ``h = W - U_t``; both
 terms are piecewise linear, so the worst deviation is found exactly at the
-kinks of h.
+kinks of h. Over all payments at once, the least worst deviation and the
+best contract for a distribution of atoms are small LPs (HiGHS through
+``scipy.optimize``), decided for every ``t >= 0`` rather than on a grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from fractions import Fraction
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -157,177 +160,132 @@ def curvature_check(
 
 
 # ---------------------------------------------------------------------------
-# non-implementability certificates
+# exact LPs: non-implementability certificates and best contracts
+
+
+def _linprog(cost, A_ub, b_ub, bounds):
+    """HiGHS and its status name (``scipy.optimize`` is imported here only:
+    the import alone takes longer than importing ``agency``)."""
+    from scipy.optimize import linprog
+
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    return res, ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical_difficulties")[res.status]
+
+
+def _payments(x: np.ndarray) -> tuple[float, ...]:
+    return tuple(float(v) + 0.0 for v in np.maximum(x, 0.0))  # an LP's t, clipped, without -0.0
+
+
+def _best_response_rows(instance: Instance, a: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, d)`` with ``A t <= d`` iff action ``a`` is a best response at
+    cost ``c`` to payments ``t``: ``A = F - 1 F_a``, ``d = (gamma - gamma_a) c``."""
+    F, g = instance.prob_matrix(), instance.gamma_array()
+    return F - F[a], (g - g[a]) * c
+
+
+def _dual_bound(A: np.ndarray, b: np.ndarray, d: np.ndarray, w: list[Fraction]) -> Fraction | None:
+    """A lower bound on s over ``A t - s <= b, A t <= d, t >= 0``, proved by
+    the dual vector ``w = (y, z)`` in exact arithmetic on the float inputs,
+    or None when ``w`` is not dual feasible there. For ``y, z >= 0`` with
+    ``A^T (y + z) >= 0``: ``s sum(y) >= y.(A t - b) >= -y.b - z.d``."""
+    y, z = w[: len(b)], w[len(b):]
+    u = [yi + zi for yi, zi in zip(y, z)]
+    if min(w) < 0 or sum(y) <= 0 or any(sum(ui * Fraction(aij) for ui, aij in zip(u, col)) < 0 for col in A.T):
+        return None
+    return -(sum(yi * Fraction(bi) for yi, bi in zip(y, b)) + sum(zi * Fraction(di) for zi, di in zip(z, d))) / sum(y)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Grid-relative non-implementability certificate at one anchor type.
+    """Exact non-implementability certificate at one anchor type.
 
-    ``certified`` means every grid payment profile consistent with the
-    rule's action at the anchor fails the curvature check. The statement is
-    relative to the searched box and step, which are recorded.
+    ``min_dstar`` is :func:`curvature_check`'s D* at the optimum t* of the
+    least-violation LP, which minimizes D* over every ``t >= 0`` under which
+    the rule's action at the anchor is a best response there. ``certified``:
+    it exceeds ``tolerance``, and so does the bound that the LP's ``dual``
+    vector proves when rechecked in rational arithmetic. Otherwise
+    ``witness`` is t* if it passes the check. ``lp_status`` is the solver's,
+    or ``dual_not_exact`` when the recheck fails; ``infeasible`` (the action
+    is never a best response there) certifies nothing.
     """
 
     certified: bool
     anchor: float
-    box: tuple[float, float]
-    step: float
-    consistent_profiles: int
     min_dstar: float | None
     witness: tuple[float, ...] | None
     tolerance: float
+    lp_status: str
+    dual: tuple[float, ...] | None
+
+    # the grid certificate's fields, still read by the benchmark's tracer
+    box, step, consistent_profiles = (0.0, 0.0), 1.0, 0
 
     def to_dict(self) -> dict:
-        return {
-            "certified": self.certified,
-            "anchor": self.anchor,
-            "box": list(self.box),
-            "step": self.step,
-            "consistent_profiles": self.consistent_profiles,
-            "min_dstar": self.min_dstar,
-            "witness": list(self.witness) if self.witness else None,
-            "tolerance": self.tolerance,
-            "grid_relative": True,
-        }
+        return {**asdict(self), "grid_relative": False}
 
 
 def certify_non_implementable_at(
-    instance: Instance,
-    rule: AllocationRule,
-    c: float,
-    payment_box: tuple[float, float] | None = None,
-    step: float | None = None,
-    tol: float = CURVATURE_TOL,
-    chunk: int = 100_000,
+    instance: Instance, rule: AllocationRule, c: float, tol: float = CURVATURE_TOL
 ) -> Certificate:
-    """Exhaustive grid search for payments implementing ``rule`` at ``c``.
+    """Decide by LP whether any payments implement ``rule`` at ``c``.
 
-    Enumerates all payment profiles on the grid; a profile is consistent
-    when the rule's action at the anchor is (within tie tolerance) a best
-    response. The null-outcome payment only enters the agent's utility
-    through the null action, which lets that axis be handled in closed form
-    against the remaining coordinates.
+    With a = x(c), A = F - 1 F_a and W the rule's tail effort, payments t
+    under which a is a best response at c have D*(c) = max_i (A t - b)_i,
+    b_i = min over the knots c' of [W(c') + gamma_i c'] - W(c) - gamma_a c.
+    The LP: min s s.t. A t - s <= b, A t <= (gamma - gamma_a) c, t >= 0.
     """
-    max_r = max(instance.rewards)
-    lo_box, hi_box = payment_box if payment_box is not None else (0.0, 4.0 * max_r)
-    if step is None:
-        step = max_r / 600.0
-    if step <= 0 or hi_box <= lo_box:
-        raise ValueError("need a positive step and a non-empty payment box")
-
-    g = instance.gamma_array()
-    F = instance.prob_matrix()
-    m1 = instance.m  # coordinates 1..m enumerated, coordinate 0 analytic
-    axis = np.arange(lo_box, hi_box + step / 2.0, step)
-    t0_axis = axis
-    anchor_action = int(rule.action_at(c))
     path = _ActionPath.from_rule(rule, instance)
-    lo_s, hi_s = path.support
-    wc = float(path.tail_effort(c))
-    knots = path.knots
-    w_knots = np.asarray([path.tail_effort(k) for k in knots])
-
-    n_consistent = 0
-    min_dstar = math.inf
-    witness: tuple[float, ...] | None = None
-    certified = True
-
-    mesh_shape = (len(axis),) * m1
-    total = len(axis) ** m1
-    non_null = np.arange(1, instance.n + 1)
-    pairs = list(combinations(non_null.tolist(), 2))
-
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        coords = np.stack(np.unravel_index(idx, mesh_shape), axis=1)  # (B, m1)
-        t_rest = axis[coords]  # payments on outcomes 1..m
-        T1 = t_rest @ F[1:, 1:].T  # (B, n) expected payments, actions >= 1
-
-        util_anchor = T1 - g[1:][None, :] * c  # (B, n)
-        u1c = util_anchor.max(axis=1)
-        if anchor_action >= 1:
-            ua = util_anchor[:, anchor_action - 1]
-            mask = ua >= u1c - TIE_TOL  # best among non-null actions
-            t0_cap = ua + TIE_TOL  # null action must not beat the anchor
-        else:
-            ua = None
-            mask = np.full(len(idx), True)
-            t0_cap = np.full(len(idx), hi_box)  # any t0 >= u1c - TIE_TOL
-        if not mask.any():
-            continue
-        T1m = T1[mask]
-        sel = np.flatnonzero(mask)
-
-        # h = W - U over the non-null envelope, minimized over its kinks
-        min_a = np.full(len(T1m), math.inf)
-        for kx, wv in zip(knots, w_knots):
-            u1 = (T1m - g[1:][None, :] * kx).max(axis=1)
-            min_a = np.minimum(min_a, wv - u1)
-        for i, j in pairs:
-            dg = g[j] - g[i]
-            cross = (T1m[:, j - 1] - T1m[:, i - 1]) / dg
-            cross = np.clip(cross, lo_s, hi_s)
-            u1 = (T1m - g[1:][None, :] * cross[:, None]).max(axis=1)
-            min_a = np.minimum(min_a, np.interp(cross, knots, w_knots) - u1)
-
-        u1_anchor = (T1m - g[1:][None, :] * c).max(axis=1)
-        hca = wc - u1_anchor
-
-        if anchor_action >= 1:
-            cap = t0_cap[sel]
-            t0_lo = np.zeros(len(T1m))
-        else:
-            cap = np.full(len(T1m), hi_box)
-            t0_lo = np.maximum(0.0, u1_anchor - TIE_TOL)
-        cap = np.minimum(cap, hi_box)
-        lo_idx = np.ceil((t0_lo - lo_box) / step - 1e-9).astype(int)
-        hi_idx = np.floor((cap - lo_box) / step + 1e-9).astype(int)
-        hi_idx = np.minimum(hi_idx, len(t0_axis) - 1)
-        ok = hi_idx >= np.maximum(lo_idx, 0)
-        if not ok.any():
-            continue
-
-        # D*(t0) = min(hca, wc - t0) - min(min_a, -t0) is piecewise linear in
-        # t0; its minimum over the t0 grid sits next to a kink or range end
-        kink1 = wc - hca
-        kink2 = -min_a
-        cand_list = [t0_lo, cap]
-        for kk in (np.full(len(T1m), kink1) if np.isscalar(kink1) else kink1, kink2):
-            kidx = (kk - lo_box) / step
-            for shift in (np.floor(kidx), np.ceil(kidx)):
-                cand_list.append(lo_box + np.clip(shift, lo_idx, hi_idx) * step)
-        cand = np.stack(
-            [lo_box + np.clip(np.round((cc - lo_box) / step), np.maximum(lo_idx, 0), hi_idx) * step for cc in cand_list],
-            axis=1,
-        )
-        d = np.minimum(hca[:, None], wc - cand) - np.minimum(min_a[:, None], -cand)
-        d_min = d.min(axis=1)
-        counts = np.where(ok, hi_idx - np.maximum(lo_idx, 0) + 1, 0)
-        n_consistent += int(counts.sum())
-        d_ok = d_min[ok]
-        if len(d_ok):
-            if float(d_ok.min()) < min_dstar:
-                min_dstar = float(d_ok.min())
-            passing = np.flatnonzero(ok & (d_min <= tol))
-            if len(passing) and certified:
-                certified = False
-                p = int(passing[0])
-                row = int(sel[p])
-                best_t0_col = int(np.argmin(d[p]))
-                t0_val = float(cand[p, best_t0_col])
-                witness = (t0_val, *[float(v) for v in t_rest[row]])
-
+    a = int(rule.action_at(c))
+    A, d = _best_response_rows(instance, a, c)
+    g, knots = instance.gamma_array(), path.knots
+    b = np.min(path.tail_effort(knots) + g[:, None] * knots, axis=1) - path.tail_effort(c) - g[a] * c
+    k, m = A.shape
+    res, status = _linprog(np.append(np.zeros(m), 1.0), np.block([[A, -np.ones((k, 1))], [A, np.zeros((k, 1))]]),
+                           np.concatenate([b, d]), [(0.0, None)] * m + [(None, None)])
+    if res.status != 0:
+        return Certificate(False, float(c), None, None, tol, status, None)
+    t = _payments(res.x[:m])
+    chk = curvature_check(instance, rule, c, t)
+    dual = -res.ineqlin.marginals + 0.0
+    # the dual as solved, and rounded to the small denominators that a vertex
+    # of an LP with short-decimal data usually has
+    w = [Fraction(v) for v in dual]
+    bounds = [_dual_bound(A, b, d, w), _dual_bound(A, b, d, [v.limit_denominator(1 << 20) for v in w])]
+    bound = max((v for v in bounds if v is not None), default=None)
     return Certificate(
-        certified=certified and n_consistent > 0,
+        certified=bool(chk.dstar > tol and bound is not None and bound > tol),
         anchor=float(c),
-        box=(float(lo_box), float(hi_box)),
-        step=float(step),
-        consistent_profiles=n_consistent,
-        min_dstar=None if math.isinf(min_dstar) else float(min_dstar),
-        witness=witness,
+        min_dstar=chk.dstar,
+        witness=t if chk.passed and chk.consistent else None,
         tolerance=tol,
+        lp_status=status if bound is not None else "dual_not_exact",
+        dual=tuple(dual.tolist()),
     )
+
+
+def best_contract(instance: Instance, dist: TypeDistribution) -> tuple[float, tuple[float, ...] | None, str]:
+    """The best revenue over payment profiles for a distribution of atoms,
+    with its profile and the solver status.
+
+    One min-pay LP (Grossman and Hart, 1983) per assignment of actions to
+    atoms finds the cheapest ``t >= 0`` under which each atom's action is a
+    weak best response, as the principal-favouring tie order allows; each
+    LP's t is priced again under the tie order.
+    """
+    if dist.parts:
+        raise ValueError("best_contract needs a distribution of atoms only")
+    F = instance.prob_matrix()
+    best = (-math.inf, None, "infeasible")
+    for acts in product(range(instance.n + 1), repeat=len(dist.atoms)):
+        rows = [_best_response_rows(instance, a, c) for (c, _), a in zip(dist.atoms, acts)]
+        res, status = _linprog(sum(p * F[a] for (_, p), a in zip(dist.atoms, acts)),
+                               np.concatenate([A for A, _ in rows]), np.concatenate([d for _, d in rows]), (0.0, None))
+        if res.status == 0:
+            t = _payments(res.x)
+            revenue = float(add_atom_revenue(0.0, instance, dist, instance.expected_payments(t)[None, :]))
+            if revenue > best[0]:
+                best = (revenue, t, status)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -121,16 +121,26 @@ class Instance:
         return len(self.rewards) - 1
 
     def gamma_array(self) -> np.ndarray:
-        return np.asarray(self.gammas, dtype=float)
+        return self._frozen("gammas")
 
     def reward_array(self) -> np.ndarray:
-        return np.asarray(self.rewards, dtype=float)
+        return self._frozen("rewards")
 
     def prob_matrix(self) -> np.ndarray:
-        return np.asarray(self.outcome_probs, dtype=float)
+        return self._frozen("outcome_probs")
 
     def expected_reward_array(self) -> np.ndarray:
-        return np.asarray(self.expected_rewards, dtype=float)
+        return self._frozen("expected_rewards")
+
+    def _frozen(self, name: str) -> np.ndarray:
+        """Field ``name`` as one shared read-only array, built on first use
+        (so a ragged ``outcome_probs`` raises only when it is asked for)."""
+        arr = self.__dict__.get("_array_" + name)
+        if arr is None:
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            self.__dict__["_array_" + name] = arr
+        return arr
 
     def expected_payments(self, t: PaymentProfile | Sequence[float] | np.ndarray) -> np.ndarray:
         """Expected payment per action for the payment profile ``t``."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -153,17 +153,21 @@ class TruncatedNormalPart:
 
         return log_ndtr(-self._z(x))
 
+    @cached_property
+    def _log_sf_low(self) -> float:  # log of the mass the truncation keeps
+        return self._log_sf(self.low)
+
     def support(self) -> tuple[float, float]:
         return self.low, math.inf
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        val = -np.expm1(self._log_sf(np.maximum(x, self.low)) - self._log_sf(self.low))
+        val = -np.expm1(self._log_sf(np.maximum(x, self.low)) - self._log_sf_low)
         return np.where(x <= self.low, 0.0, np.clip(val, 0.0, 1.0))
 
     def pdf(self, x: np.ndarray, side: str) -> np.ndarray:
         inside = x >= self.low if side == "right" else x > self.low
         z = self._z(x)
-        dens = np.exp(-0.5 * z * z - self._log_sf(self.low)) / (self.sigma * math.sqrt(2.0 * math.pi))
+        dens = np.exp(-0.5 * z * z - self._log_sf_low) / (self.sigma * math.sqrt(2.0 * math.pi))
         return np.where(inside, dens, 0.0)
 
     def quantile(self, q: float) -> float:
@@ -171,7 +175,7 @@ class TruncatedNormalPart:
             return math.inf
         from scipy.special import ndtri_exp
 
-        return self.mu - self.sigma * float(ndtri_exp(math.log1p(-q) + self._log_sf(self.low)))
+        return self.mu - self.sigma * float(ndtri_exp(math.log1p(-q) + self._log_sf_low))
 
     def kinks(self) -> tuple[float, ...]:
         return (self.low,)

@@ -35,10 +35,11 @@ from agency import (
     virtual_welfare,
     virtual_welfare_quadrature,
 )
-from agency.examples import gap, menu, non_implementable, non_monotone_audit
+from agency.examples import gap, menu, non_implementable, non_monotone, non_monotone_audit
 from agency.incentives import binary_action_optimal
 
 from conftest import battery, random_binary_action_instance, random_instance, welfare_top
+from oracles import grid_best_contract, grid_certificate
 
 SEED = 42
 
@@ -77,10 +78,12 @@ def test_criterion_02_non_implementable_certificate():
             assert np.max(np.abs(np.asarray(dist.virtual_cost(grid)) - (2 * grid + off))) <= 1e-9
         rule = virtual_rule(ex.instance, iron(dist))
         assert sorted(rule.breakpoints[1:-1]) == pytest.approx([1.0, 4.0, 9.0], abs=1e-6)
-        cert = certify_non_implementable_at(ex.instance, rule, 4.0)  # default box and step
-        assert cert.box == (0.0, 4.0 * 300.0) and cert.step == pytest.approx(0.5)
-        assert cert.certified
-        assert cert.consistent_profiles > 0
+        cert = certify_non_implementable_at(ex.instance, rule, 4.0)
+        oracle = grid_certificate(ex.instance, rule, 4.0)  # the grid's default box and step
+        assert oracle.box == (0.0, 4.0 * 300.0) and oracle.step == pytest.approx(0.5)
+        assert oracle.certified and oracle.consistent_profiles > 0
+        assert cert.certified == oracle.certified and cert.min_dstar == oracle.min_dstar
+        assert cert.lp_status == "optimal" and cert.to_dict()["grid_relative"] is False
 
 
 def test_criterion_03_gap_ratio():
@@ -169,10 +172,13 @@ def test_criterion_07_menu_example():
 
 def test_criterion_08_non_monotone_audit():
     with criterion(8, "stochastically better agents can pay the principal less", 600.0):
-        audit = non_monotone_audit(0.02, 0.01, step=0.01)
+        audit = non_monotone_audit(0.02, 0.01)
         assert audit["revenue_H"] == 0.5
         assert audit["revenue_G_upper"] < 0.5
-        assert audit["grid_relative"] is True
+        assert audit["grid_relative"] is False and audit["lp_status"] == "optimal"
+        ex = non_monotone(0.02, 0.01)
+        revenue, best_t = grid_best_contract(ex.instance, ex.distributions["G"].atoms, (0.0, 2.0), 0.01)
+        assert (audit["revenue_G_upper"], audit["best_t_for_G"]) == (revenue, best_t)
 
 
 def test_criterion_09_ic_property_suite():

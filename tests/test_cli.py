@@ -162,7 +162,7 @@ class TestReproduce:
         assert json.loads(out)["passed"] is True
 
     def test_non_monotone_explicit_epsilon(self, capsys):
-        code, _, err = run(["reproduce", "non_monotone", "--epsilon", "0.1", "--step", "0.5"], capsys)
+        code, _, err = run(["reproduce", "non_monotone", "--epsilon", "0.1"], capsys)
         assert code == 1
         assert "epsilon < delta" in err
 

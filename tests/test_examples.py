@@ -29,6 +29,8 @@ from agency.examples import (
     smoothed,
 )
 
+from oracles import grid_best_contract
+
 
 class TestGap:
     def test_welfare_fact(self):
@@ -118,10 +120,15 @@ class TestNonMonotone:
         assert np.all(np.asarray(G.cdf(cs)) >= np.asarray(H.cdf(cs)) - 1e-12)
 
     def test_audit_coarse_grid(self):
-        audit = non_monotone_audit(0.02, 0.01, step=0.05)
+        # the LP audit is at least as good as any coarse grid, and on this
+        # one it finds the same contract
+        audit = non_monotone_audit(0.02, 0.01)
         assert audit["revenue_H"] == 0.5
         assert audit["revenue_G_upper"] < 0.5
         assert audit["gap_confirmed"]
+        ex = non_monotone(0.02, 0.01)
+        revenue, best_t = grid_best_contract(ex.instance, ex.distributions["G"].atoms, (0.0, 2.0), 0.05)
+        assert audit["revenue_G_upper"] == revenue and audit["best_t_for_G"] == best_t
 
 
 class TestMenu:

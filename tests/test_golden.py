@@ -23,8 +23,7 @@ def _inp(name: str) -> str:
     return os.path.join(GOLDEN, "inputs", name)
 
 
-#: name -> (argv, expected exit code). Coarse certificate and audit steps
-#: keep the whole corpus to a few seconds.
+#: name -> (argv, expected exit code).
 CALLS = {
     "analyze_uniform": (["analyze", "--instance", _inp("uniform.json")], 0),
     "analyze_exponential": (["analyze", "--instance", _inp("exponential.json")], 0),
@@ -47,9 +46,9 @@ CALLS = {
          "--grid", "64"], 0),
     "reproduce_gap": (["reproduce", "gap"], 0),
     "reproduce_scaling_uniform": (["reproduce", "scaling_uniform"], 0),
-    "reproduce_non_monotone": (["reproduce", "non_monotone", "--step", "0.05"], 0),
+    "reproduce_non_monotone": (["reproduce", "non_monotone"], 0),
     "reproduce_menu": (["reproduce", "menu"], 0),
-    "reproduce_non_implementable": (["reproduce", "non_implementable", "--step", "2"], 0),
+    "reproduce_non_implementable": (["reproduce", "non_implementable"], 0),
     "reproduce_smoothed": (["reproduce", "smoothed"], 0),
 }
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agency import (
     AssumptionViolatedError,
@@ -7,6 +9,8 @@ from agency import (
     MenuContract,
     PaymentProfile,
     PreconditionError,
+    TypeDistribution,
+    best_contract,
     best_response,
     binary_action_optimal,
     binary_outcome_transform,
@@ -27,12 +31,15 @@ from agency import (
     virtual_welfare,
     welfare,
 )
+from agency import incentives
 from agency.allocation import AllocationRule
 from agency.incentives import menu_selection
 from agency.examples import menu as menu_example
+from agency.examples import non_implementable
 from agency.metrics import integrate_against
 
 from conftest import random_binary_action_instance, random_instance
+from oracles import grid_best_contract, grid_certificate
 
 
 def appx_non_implement():
@@ -129,14 +136,14 @@ class TestCertificate:
     def test_counterexample_certified(self):
         inst, dist = appx_non_implement()
         rule = virtual_rule(inst, iron(dist))
-        cert = certify_non_implementable_at(inst, rule, 4.0, payment_box=(0.0, 400.0), step=0.5)
-        assert cert.certified
-        assert cert.consistent_profiles > 0
-        assert cert.min_dstar > 1e-9
+        cert = certify_non_implementable_at(inst, rule, 4.0)
+        assert cert.certified and cert.lp_status == "optimal"
+        assert cert.min_dstar > 1e-9 and cert.witness is None
+        oracle = grid_certificate(inst, rule, 4.0, payment_box=(0.0, 400.0), step=0.5)
+        assert oracle.certified and oracle.consistent_profiles > 0
+        assert cert.min_dstar <= oracle.min_dstar + 1e-9
 
     def test_implementable_rule_not_certified(self):
-        # rewards chosen so the half-share payments (0, 1, 3) sit exactly on
-        # the grid: the linear witness must clear the certificate
         inst = Instance(
             gammas=(0.0, 0.5, 1.2),
             rewards=(0.0, 2.0, 6.0),
@@ -145,9 +152,7 @@ class TestCertificate:
         rule = envelope_rule(inst, 0.5, (0.0, 6.0))
         anchor = 0.5 * (rule.breakpoints[-1] + rule.breakpoints[-2])  # inside the top action
         assert rule.action_at(anchor) == inst.n
-        cert = certify_non_implementable_at(
-            inst, rule, float(anchor), payment_box=(0.0, 12.0), step=0.5
-        )
+        cert = certify_non_implementable_at(inst, rule, float(anchor))
         assert not cert.certified
         assert cert.witness is not None
         chk = curvature_check(inst, rule, float(anchor), cert.witness)
@@ -156,7 +161,7 @@ class TestCertificate:
     def test_local_implementability_at_low_anchor(self):
         inst, dist = appx_non_implement()
         rule = virtual_rule(inst, iron(dist))
-        cert = certify_non_implementable_at(inst, rule, 0.5, payment_box=(0.0, 40.0), step=0.5)
+        cert = certify_non_implementable_at(inst, rule, 0.5)
         assert not cert.certified
         assert cert.witness is not None
         t = cert.witness
@@ -164,20 +169,100 @@ class TestCertificate:
         assert chk.passed and chk.consistent
 
     def test_matches_scalar_check_on_samples(self, rng):
-        # the vectorized fast path and the per-profile check must agree
+        # the LP takes the least D* over every consistent t >= 0, so no
+        # sampled consistent profile can do better
         inst, dist = appx_non_implement()
         rule = virtual_rule(inst, iron(dist))
-        for _ in range(60):
+        cert = certify_non_implementable_at(inst, rule, 4.0)
+        consistent = 0
+        for _ in range(400):
             t = (float(rng.uniform(0, 30)), float(rng.uniform(0, 60)), float(rng.uniform(0, 60)))
             chk = curvature_check(inst, rule, 4.0, t)
-            if not chk.consistent:
-                continue
-            cert = certify_non_implementable_at(
-                inst, rule, 4.0, payment_box=(0.0, 60.0), step=60.0, chunk=10
-            )
-            # coarse grid: just make sure the machinery agrees in sign for
-            # the sampled profile via the scalar path
-            assert chk.dstar >= -1e-12
+            if chk.consistent:
+                consistent += 1
+                assert chk.dstar >= cert.min_dstar - 1e-9
+        assert consistent > 0
+
+    def test_anchor_sweep_matches_grid(self):
+        # the LP value is D* of an exact optimum, and equals the grid's least
+        # D* at every anchor; only anchors 2 and 4 are certified
+        ex = non_implementable()
+        rule = virtual_rule(ex.instance, iron(ex.distributions["piecewise"]))
+        for anchor, dstar in ((0.5, 0.0), (2.0, 3.0), (4.0, 5.5), (6.0, 0.0), (9.5, 0.0)):
+            cert = certify_non_implementable_at(ex.instance, rule, anchor)
+            oracle = grid_certificate(ex.instance, rule, anchor, step=2.0)
+            assert cert.min_dstar == pytest.approx(dstar, abs=1e-12) == oracle.min_dstar
+            assert cert.certified == oracle.certified == (dstar > 0)
+            assert cert.lp_status == "optimal"
+            report = cert.to_dict()
+            assert report["grid_relative"] is False and len(report["dual"]) == 2 * (ex.instance.n + 1)
+
+    def test_infeasible_dual_never_certifies(self, monkeypatch):
+        # scale one dual entry: A^T (y + z) turns negative, so neither the
+        # dual nor its small-denominator rounding passes the exact recheck
+        inst, dist = appx_non_implement()
+        rule = virtual_rule(inst, iron(dist))
+        solve = incentives._linprog
+
+        def nudged(*args):
+            res, status = solve(*args)
+            res.ineqlin.marginals[int(np.argmin(res.ineqlin.marginals))] *= 1.001
+            return res, status
+
+        monkeypatch.setattr(incentives, "_linprog", nudged)
+        cert = certify_non_implementable_at(inst, rule, 4.0)
+        assert cert.min_dstar == pytest.approx(5.5)
+        assert not cert.certified and cert.lp_status == "dual_not_exact"
+
+
+def _small_instance(rng: np.random.Generator) -> Instance:
+    """Three or four actions on two paying outcomes. Probabilities, efforts
+    and rewards are dyadic, so rows sum to one exactly and the LP duals have
+    exact rational values for the recheck to find."""
+    k = int(rng.integers(3, 5))
+    p = np.sort(rng.choice(9, k - 1, replace=False)) / 8.0
+    rows = [(1.0, 0.0, 0.0)] + [(0.0, 1.0 - q, q) for q in p]
+    gammas = np.concatenate([[0.0], np.cumsum(rng.integers(1, 9, k - 1) / 4.0)])
+    rewards = (0.0, *np.sort(rng.integers(1, 11, 2)).astype(float))
+    return Instance(gammas=tuple(gammas), rewards=rewards, outcome_probs=tuple(rows))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lp_certificate_against_grid(seed):
+    rng = np.random.default_rng(seed)
+    inst = _small_instance(rng)
+    top = int(rng.integers(8, 41))  # in quarters
+    actions = tuple(sorted(rng.choice(inst.n + 1, int(rng.integers(1, inst.n + 2)), replace=False)))
+    cuts = tuple(np.sort(rng.choice(np.arange(1, top), len(actions) - 1, replace=False))[::-1] / 4.0)
+    rule = AllocationRule(breakpoints=(top / 4.0, *cuts, 0.0), actions=actions)
+    k = int(rng.integers(len(actions)))
+    lo, hi = rule.breakpoints[k + 1], rule.breakpoints[k]
+    anchor = lo + (hi - lo) * int(rng.integers(1, 8)) / 8.0
+    cert = certify_non_implementable_at(inst, rule, anchor)
+    oracle = grid_certificate(inst, rule, anchor, step=max(inst.rewards) / 60.0)
+    if oracle.min_dstar is not None:
+        assert cert.min_dstar is not None and cert.min_dstar <= oracle.min_dstar + 1e-9
+    if cert.certified:
+        assert oracle.certified or oracle.consistent_profiles == 0
+    if cert.witness is not None:
+        assert curvature_check(inst, rule, anchor, cert.witness).passed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lp_best_contract_against_grid(seed):
+    rng = np.random.default_rng(seed)
+    inst = _small_instance(rng)
+    mass = float(rng.uniform(0.05, 0.95))
+    dist = TypeDistribution(parts=(), atoms=tuple(sorted(zip(rng.uniform(0.0, 3.0, 2), (mass, 1.0 - mass)))))
+    revenue, t, status = best_contract(inst, dist)
+    oracle, _ = grid_best_contract(inst, dist.atoms, (0.0, 2.0 * max(inst.rewards)), max(inst.rewards) / 50.0)
+    assert status == "optimal"
+    assert revenue >= oracle - 1e-9
+    # the reported revenue is t's own, each atom answering by the tie order
+    assert revenue == pytest.approx(sum(p * best_response(inst, t, c).principal_utility for c, p in dist.atoms),
+                                    abs=1e-12)
 
 
 class TestMenus:

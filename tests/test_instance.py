@@ -54,6 +54,20 @@ def msgs_or(inst):
     return validate(inst)
 
 
+class TestArrays:
+    def test_built_once_and_read_only(self):
+        inst = appx_non_implement()
+        for get in (inst.gamma_array, inst.reward_array, inst.prob_matrix, inst.expected_reward_array):
+            assert get() is get()
+            with pytest.raises(ValueError, match="read-only"):
+                get()[0] = 1.0
+        assert inst.prob_matrix().tolist() == [list(row) for row in inst.outcome_probs]
+
+    def test_ragged_matrix_still_reaches_validate(self):
+        inst = Instance(gammas=(0, 1), rewards=(0, 1), outcome_probs=((1, 0), (0, 0.5, 0.5)))
+        assert "F row 1 has 3 entries, expected 2" in validate(inst)
+
+
 class TestBestResponse:
     def test_null_contract(self):
         br = best_response(minimal(), (0.0, 0.0), 0.7)

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -77,6 +78,17 @@ class TestTruncatedNormal:
             assert d.quantile(q) == pytest.approx(ref.ppf(q), rel=1e-9)
         assert np.all(np.isfinite(np.asarray(d.virtual_cost(xs))))
 
+    def test_bound_tail_computed_once(self, monkeypatch):
+        part = truncated_normal(1.0, 2.0, 0.0).parts[0][1]
+        xs = np.array([0.5, 1.0, 4.0])
+        expected = -np.expm1(part._log_sf(xs) - part._log_sf(0.0))
+        assert np.array_equal(part.cdf(xs), expected)  # bit for bit
+        calls = []
+        log_sf = type(part)._log_sf
+        monkeypatch.setattr(type(part), "_log_sf", lambda self, x: calls.append(x) or log_sf(self, x))
+        part.cdf(xs), part.pdf(xs, "right"), part.quantile(0.5)
+        assert len(calls) == 1  # the cdf's own tail; the bound's is kept from the first call
+
     def test_far_lower_bound_keeps_its_tail(self):
         # 1 - Phi(8) is below half an ulp of 1, which rounded the CDF to one
         assert truncated_normal(-8.0, 1.0, 0.0).cdf(0.5) == pytest.approx(0.98476, abs=1e-5)
@@ -91,6 +103,20 @@ class TestTruncatedNormal:
 
     def test_scipy_imported_lazily(self):
         probe = "import sys, agency.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_library_commands_leave_scipy_optimize_unimported(self):
+        # only the LPs of the certificate and the audit import the solver
+        inst = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "inputs", "uniform.json")
+        probe = (
+            "import contextlib, io, sys\n"
+            "from agency.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['verify', '--instance', {inst!r}, '--theorem', 'upper_n']) == 0\n"
+            f"    assert main(['analyze', '--instance', {inst!r}]) == 0\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
