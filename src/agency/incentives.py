@@ -183,16 +183,50 @@ def _best_response_rows(instance: Instance, a: int, c: float) -> tuple[np.ndarra
     return F - F[a], (g - g[a]) * c
 
 
-def _dual_bound(A: np.ndarray, b: np.ndarray, d: np.ndarray, w: list[Fraction]) -> Fraction | None:
+def _exact_rows(instance: Instance, a: int) -> list[list[Fraction]]:
+    """``A = F - 1 F_a`` in exact arithmetic, each outcome row read as the
+    distribution it stands for: divided by its exact sum, which changes no
+    row that sums to one in binary. A constant payment then changes no
+    incentive, as in the model; on raw rows whose sums round away from one,
+    paying about 1e16 on every outcome exploits the rounding."""
+    F = [[Fraction(p) / sum(map(Fraction, row)) for p in row] for row in instance.outcome_probs]
+    return [[p - q for p, q in zip(row, F[a])] for row in F]
+
+
+def _dual_bound(A: list[list[Fraction]], b: np.ndarray, d: np.ndarray, w: list[Fraction]) -> Fraction | None:
     """A lower bound on s over ``A t - s <= b, A t <= d, t >= 0``, proved by
-    the dual vector ``w = (y, z)`` in exact arithmetic on the float inputs,
-    or None when ``w`` is not dual feasible there. For ``y, z >= 0`` with
-    ``A^T (y + z) >= 0``: ``s sum(y) >= y.(A t - b) >= -y.b - z.d``."""
+    the dual vector ``w = (y, z)`` in exact arithmetic on the exact rows and
+    the float ``b``, ``d``, or None when ``w`` is not dual feasible there. For
+    ``y, z >= 0`` with ``A^T (y + z) >= 0``: ``s sum(y) >= y.(A t - b) >= -y.b - z.d``."""
     y, z = w[: len(b)], w[len(b):]
     u = [yi + zi for yi, zi in zip(y, z)]
-    if min(w) < 0 or sum(y) <= 0 or any(sum(ui * Fraction(aij) for ui, aij in zip(u, col)) < 0 for col in A.T):
+    if min(w) < 0 or sum(y) <= 0 or any(sum(ui * aij for ui, aij in zip(u, col)) < 0 for col in zip(*A)):
         return None
     return -(sum(yi * Fraction(bi) for yi, bi in zip(y, b)) + sum(zi * Fraction(di) for zi, di in zip(z, d))) / sum(y)
+
+
+def _active_set_dual(A: list[list[Fraction]], dual: np.ndarray, t: tuple[float, ...]) -> list[Fraction] | None:
+    """The dual vector ``w = (y, z)`` solved exactly on the LP's active set:
+    its support is ``dual``'s, every column j with ``t_j > 0`` is tight,
+    ``A_j^T (y + z) = 0``, and ``sum(y) = 1``. None when that system has no
+    unique solution. Gauss-Jordan elimination in ``Fraction``."""
+    k = len(A)
+    S = np.flatnonzero(dual > 0)
+    M = [[A[i % k][j] for i in S] + [Fraction(0)] for j in np.flatnonzero(np.asarray(t) > 0)]
+    M.append([Fraction(int(i < k)) for i in S] + [Fraction(1)])
+    for r in range(len(S)):
+        p = next((i for i in range(r, len(M)) if M[i][r]), None)
+        if p is None:
+            return None
+        M[r], M[p] = M[p], M[r]
+        top = [v / M[r][r] for v in M[r]]
+        M = [top if i == r else [v - row[r] * x for v, x in zip(row, top)] for i, row in enumerate(M)]
+    if any(row[-1] for row in M[len(S):]):
+        return None
+    w = [Fraction(0)] * (2 * k)
+    for i, row in zip(S, M):
+        w[i] = row[-1]
+    return w
 
 
 @dataclass(frozen=True)
@@ -202,11 +236,13 @@ class Certificate:
     ``min_dstar`` is :func:`curvature_check`'s D* at the optimum t* of the
     least-violation LP, which minimizes D* over every ``t >= 0`` under which
     the rule's action at the anchor is a best response there. ``certified``:
-    it exceeds ``tolerance``, and so does the bound that the LP's ``dual``
-    vector proves when rechecked in rational arithmetic. Otherwise
-    ``witness`` is t* if it passes the check. ``lp_status`` is the solver's,
-    or ``dual_not_exact`` when the recheck fails; ``infeasible`` (the action
-    is never a best response there) certifies nothing.
+    it exceeds ``tolerance``, and so does the bound proved in rational
+    arithmetic by the dual solved exactly on the support of the LP's
+    ``dual`` vector (:func:`_active_set_dual`, on outcome rows that sum to
+    one exactly: :func:`_exact_rows`). Otherwise ``witness`` is t* if it
+    passes the check. ``lp_status`` is the solver's, or ``dual_not_exact``
+    when no exact dual passes; ``infeasible`` (the action is never a best
+    response there) certifies nothing.
     """
 
     certified: bool
@@ -247,11 +283,9 @@ def certify_non_implementable_at(
     t = _payments(res.x[:m])
     chk = curvature_check(instance, rule, c, t)
     dual = -res.ineqlin.marginals + 0.0
-    # the dual as solved, and rounded to the small denominators that a vertex
-    # of an LP with short-decimal data usually has
-    w = [Fraction(v) for v in dual]
-    bounds = [_dual_bound(A, b, d, w), _dual_bound(A, b, d, [v.limit_denominator(1 << 20) for v in w])]
-    bound = max((v for v in bounds if v is not None), default=None)
+    Ax = _exact_rows(instance, a)
+    w = _active_set_dual(Ax, dual, t)
+    bound = None if w is None else _dual_bound(Ax, b, d, w)
     return Certificate(
         certified=bool(chk.dstar > tol and bound is not None and bound > tol),
         anchor=float(c),

@@ -148,12 +148,14 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np
         hi = lo + 1.0  # pure point mass: rule support is immaterial
     R = instance.expected_reward_array()
     g = instance.gamma_array()
-    acts = envelope_rule(instance, 1.0, (0.0, math.inf)).actions[::-1]  # ascending cost
+    acts = instance.__dict__.get("_welfare_actions")  # ascending cost, kept as Instance._frozen keeps arrays
+    if acts is None:
+        acts = instance.__dict__["_welfare_actions"] = envelope_rule(instance, 1.0, (0.0, math.inf)).actions[::-1]
     a, b = list(acts[:-1]), list(acts[1:])
     T = al[:, None] * R
     # the envelope's own crossing expression: alpha * z differs in the last bit
     cross = (T[:, a] - T[:, b]) / (g[a] - g[b])
-    edges = np.clip(np.pad(cross, ((0, 0), (1, 1)), constant_values=(lo, hi)), lo, hi)
+    edges = np.clip(np.concatenate([np.full((len(al), 1), lo), cross, np.full((len(al), 1), hi)], axis=1), lo, hi)
     G = np.asarray(dist.cdf_continuous(edges), dtype=float)
     total = np.zeros(len(al))
     for k, action in enumerate(acts):

@@ -17,7 +17,7 @@ virtual cost exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -535,6 +535,7 @@ class IronedVirtualCost:
     values: np.ndarray
     flats: tuple[tuple[float, float, float], ...]
     dist: TypeDistribution
+    _solved: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # level -> inverse
 
     @property
     def c_low(self) -> float:
@@ -565,9 +566,23 @@ class IronedVirtualCost:
 
     def inverse(self, q: float | np.ndarray) -> np.ndarray | float:
         """Largest cost whose ironed virtual cost does not exceed ``q``, for
-        a level or an array of levels: one bisection runs on all levels
-        together, and each level stops once its bracket closes."""
+        a level or an array of levels; a NaN level raises ``ValueError``.
+
+        Each level is solved at most once per ironed object: solved levels
+        are kept, and one bisection runs on the new ones together."""
         qa = np.atleast_1d(np.asarray(q, dtype=float))
+        if np.isnan(qa).any():
+            raise ValueError("cannot invert the ironed virtual cost at level nan")
+        levels = qa.ravel().tolist()
+        new = np.unique([v for v in levels if v not in self._solved])
+        if new.size:
+            self._solved.update(zip(new.tolist(), self._bisect(new).tolist()))
+        out = np.asarray([self._solved[v] for v in levels], dtype=float).reshape(qa.shape)
+        return float(out[0]) if np.ndim(q) == 0 else out
+
+    def _bisect(self, qa: np.ndarray) -> np.ndarray:
+        """:meth:`inverse` at each level of ``qa``, by one bisection on all
+        levels together; each level stops once its bracket closes."""
         lo = np.full(qa.shape, self.c_low)
         hi = np.full(qa.shape, self.c_high)
         below = qa < float(self.value(self.c_low))
@@ -586,8 +601,7 @@ class IronedVirtualCost:
         kinks = np.asarray(self.dist.kinks())
         bracketed = (lo[:, None] <= kinks) & (kinks <= hi[:, None])
         out = np.where(bracketed.any(axis=1), kinks[bracketed.argmax(axis=1)], lo)
-        out = np.where(below, self.c_low, np.where(above, self.c_high, out))
-        return float(out[0]) if np.ndim(q) == 0 else out
+        return np.where(below, self.c_low, np.where(above, self.c_high, out))
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:

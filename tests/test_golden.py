@@ -1,19 +1,25 @@
-"""Golden CLI corpus: every report must match its committed bytes exactly.
+"""Golden corpus: every CLI report must match its committed bytes exactly,
+and so must the library results on 48 generated pairs.
 
 Inputs live in ``tests/data/golden/inputs`` and the expected reports in
-``tests/data/golden/expected``. After a deliberate change to a report,
-rewrite the expected files with::
+``tests/data/golden/expected``. ``library_pairs.json`` holds 48 pairs drawn
+by the benchmark generator (``bench/gen.py``, seeds 1 and 2, 12 regular and
+12 non-regular pairs each) with their ``best_linear``, virtual welfare,
+virtual rule and ``verify`` reports. After a deliberate change to a report,
+rewrite the expected files and results with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import io
+import json
 import os
 import sys
 
 import pytest
 
+from agency import Instance, best_linear, from_spec, ironed, verify, virtual_rule, virtual_welfare
 from agency.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
@@ -73,6 +79,32 @@ def test_report_bytes(name):
         assert out == fh.read()
 
 
+LIBRARY = os.path.join(GOLDEN, "library_pairs.json")
+
+
+def _library_results(pair: dict) -> dict:
+    """``best_linear``, virtual welfare and rule, then every verdict."""
+    inst, dist = Instance(**pair["instance"]), from_spec(pair["dist"])
+    out = {"best_linear": list(best_linear(inst, dist))}
+    if not dist.has_atoms:
+        out["virtual_welfare"] = virtual_welfare(inst, dist)
+        out["virtual_rule"] = virtual_rule(inst, ironed(dist)).to_dict()
+    out["verify"] = {th: verify(inst, dist, th, **kw).to_dict() for th, kw in pair["verify"].items()}
+    return out
+
+
+def _library_pairs() -> list[dict]:
+    with open(LIBRARY, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("k", range(48))
+def test_library_results_bit_for_bit(k):
+    pair = _library_pairs()[k]
+    # JSON keeps every float's repr, so equal text means equal bits
+    assert json.dumps(_library_results(pair), sort_keys=True) == json.dumps(pair["expected"], sort_keys=True)
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.join(GOLDEN, "expected"), exist_ok=True)
     for name, (argv, exit_code) in sorted(CALLS.items()):
@@ -81,3 +113,8 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit {code}, expected {exit_code}")
         with open(_expected_path(name), "w", encoding="utf-8", newline="") as fh:
             fh.write(out)
+    pairs = _library_pairs()
+    for pair in pairs:
+        pair["expected"] = _library_results(pair)
+    with open(LIBRARY, "w", encoding="utf-8") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(pair, sort_keys=True) for pair in pairs) + "\n]\n")  # a line per pair

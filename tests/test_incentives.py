@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,22 +199,54 @@ class TestCertificate:
             report = cert.to_dict()
             assert report["grid_relative"] is False and len(report["dual"]) == 2 * (ex.instance.n + 1)
 
-    def test_infeasible_dual_never_certifies(self, monkeypatch):
-        # scale one dual entry: A^T (y + z) turns negative, so neither the
-        # dual nor its small-denominator rounding passes the exact recheck
+    @staticmethod
+    def _nudged_certificate(monkeypatch, scale):
+        """The certificate at c = 4 with the largest dual entry scaled."""
         inst, dist = appx_non_implement()
         rule = virtual_rule(inst, iron(dist))
         solve = incentives._linprog
 
         def nudged(*args):
             res, status = solve(*args)
-            res.ineqlin.marginals[int(np.argmin(res.ineqlin.marginals))] *= 1.001
+            res.ineqlin.marginals[int(np.argmin(res.ineqlin.marginals))] *= scale
             return res, status
 
         monkeypatch.setattr(incentives, "_linprog", nudged)
         cert = certify_non_implementable_at(inst, rule, 4.0)
         assert cert.min_dstar == pytest.approx(5.5)
+        return cert
+
+    def test_infeasible_dual_never_certifies(self, monkeypatch):
+        # drop the largest dual entry: on the remaining support sum(y) = 0, so
+        # no exact dual exists there
+        cert = self._nudged_certificate(monkeypatch, 0.0)
         assert not cert.certified and cert.lp_status == "dual_not_exact"
+
+    def test_scaled_dual_solved_again_on_its_support(self, monkeypatch):
+        # scaled by 1.001 the solver's dual has A^T (y + z) < 0 and fails the
+        # exact recheck as it stands; solved again on its support, it passes
+        cert = self._nudged_certificate(monkeypatch, 1.001)
+        assert cert.certified and cert.lp_status == "optimal"
+
+    def test_dirichlet_rows_certified(self):
+        # outcome rows drawn from a Dirichlet do not sum to one in binary, so
+        # the solver's dual misses A^T (y + z) >= 0 by rounding; every anchor
+        # with a positive D* must still be certified
+        rng = np.random.default_rng(7)
+        positive = 0
+        for _ in range(150):
+            k = int(rng.integers(4, 6))
+            rows = [(1.0, 0.0, 0.0)] + [tuple(rng.dirichlet(np.ones(3))) for _ in range(k - 1)]
+            inst = Instance(gammas=(0.0, *np.cumsum(rng.uniform(0.2, 2.0, k - 1))),
+                            rewards=(0.0, *np.sort(rng.uniform(1, 10, 2))), outcome_probs=tuple(rows))
+            top = float(rng.uniform(2, 10))
+            rule = AllocationRule(breakpoints=(top, 0.0), actions=(int(rng.integers(1, k - 1)),))
+            cert = certify_non_implementable_at(inst, rule, top * float(rng.uniform(0.05, 0.95)))
+            if cert.min_dstar is not None and cert.min_dstar > cert.tolerance:
+                positive += 1
+                assert any(sum(map(Fraction, row)) != 1 for row in rows)
+                assert cert.certified and cert.lp_status == "optimal"
+        assert positive == 20
 
 
 def _small_instance(rng: np.random.Generator) -> Instance:

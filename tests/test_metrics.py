@@ -5,11 +5,14 @@ import pytest
 
 from agency import (
     Instance,
+    IronedVirtualCost,
     best_linear,
     envelope_rule,
     iron,
+    ironed,
     linear_revenue,
     linear_revenue_quadrature,
+    piecewise,
     point_mass,
     uniform,
     virtual_rule,
@@ -243,11 +246,28 @@ class TestBestLinear:
             a_star, rev = best_linear(inst, point_mass(c))
             assert a_star == pytest.approx(g1 * c / r1, abs=1e-9)
             assert rev == pytest.approx((1 - g1 * c / r1) * r1, rel=1e-9)
-            # dense sweep oracle
-            sweep = max(
-                linear_revenue(inst, point_mass(c), a) for a in np.linspace(0, 1, 20001)
-            )
+            # dense sweep oracle: one array call, bit-equal to per-share calls
+            # (TestRevenueCurve)
+            sweep = float(linear_revenue(inst, point_mass(c), np.linspace(0, 1, 20001)).max())
             assert rev >= sweep - 1e-9
+
+    def test_virtual_rule_after_best_linear_runs_no_bisection(self, monkeypatch):
+        # best_linear's landmarks hold the virtual rule's inverse levels, bit
+        # for bit, and the ironed object keeps every level it solved
+        d = 20.0 / 23.0
+        pairs = battery(13, 4) + [(Instance(gammas=(0, 1, 3, 5.5), rewards=(0, 100, 300),
+                                            outcome_probs=((1, 0, 0), (0, 1, 0), (0, 0.5, 0.5), (0, 0, 1))),
+                                   piecewise([(0, 1, d), (1, 4, 0.025 * d), (4, 10, 0.0125 * d)]))]
+        solved = []
+        bisect = IronedVirtualCost._bisect
+        monkeypatch.setattr(IronedVirtualCost, "_bisect", lambda iv, q: solved.append(len(q)) or bisect(iv, q))
+        ironed.cache_clear()
+        for inst, dist in pairs:
+            before = len(solved)
+            best_linear(inst, dist)
+            assert len(solved) == before + 1
+            rule = virtual_rule(inst, ironed(dist))
+            assert len(solved) == before + 1 and len(rule.breakpoints) > 2
 
     def test_gap_bounded_by_two(self):
         ex = gap(n=10, delta=0.01)

@@ -10,6 +10,7 @@ from scipy.stats import truncnorm
 from agency import (
     AtomPresentError,
     DistributionError,
+    IronedVirtualCost,
     UndefinedAtAtomError,
     ZeroCdfError,
     ZeroDensityError,
@@ -217,6 +218,9 @@ class TestIronInverse:
         iv = iron(uniform(1, 2))
         assert iv.inverse(0.0) == 1.0
         assert iv.inverse(1e9) == 2.0
+        iv = iron(exponential(1.0))
+        lo, hi = float(iv.values[0]), float(iv.values[-1])
+        assert iv.inverse(np.asarray([lo - 1.0, hi + 1.0])).tolist() == [iv.c_low, iv.c_high]
 
     def test_batch_matches_one_at_a_time(self):
         for dist in (uniform(0, 2), exponential(1.0), truncated_normal(1, 2, 0), non_implement_dist()):
@@ -227,12 +231,39 @@ class TestIronInverse:
             levels = np.concatenate([[lo - 1.0, hi + 1.0, lo, hi, 40.0, 50.0, 100.0], np.linspace(lo, hi, 23)])
             got = iv.inverse(levels)
             assert isinstance(got, np.ndarray) and got.shape == levels.shape
-            assert got.tolist() == [iv.inverse(float(q)) for q in levels]
+            # a fresh ironed object per level, so that no solved level is reused
+            assert got.tolist() == [iron(dist).inverse(float(q)) for q in levels]
         iv = iron(non_implement_dist())
         assert iv.inverse(np.asarray([40.0, 50.0])).tolist() == [1.0, 4.0]
         assert iv.inverse(100.0) == pytest.approx(9.0, abs=1e-12)
         assert type(iv.inverse(50.0)) is float
         assert iv.inverse(np.asarray([])).shape == (0,)
+
+    def test_nan_level_raises(self):
+        iv = iron(exponential(1.0))
+        for q in (math.nan, np.asarray([0.5, math.nan, 2.0])):
+            with pytest.raises(ValueError, match="level nan"):
+                iv.inverse(q)
+
+    def test_infinite_levels_clamp(self):
+        iv = iron(exponential(1.0))
+        assert iv.inverse(-math.inf) == iv.c_low
+        assert iv.inverse(math.inf) == iv.c_high
+        assert iv.inverse(np.asarray([math.inf, -math.inf])).tolist() == [iv.c_high, iv.c_low]
+
+    def test_repeated_levels_make_no_value_calls(self, monkeypatch):
+        iv = iron(non_implement_dist())
+        levels = np.asarray([0.5, 40.0, 50.0, 100.0, 7.25])
+        first = iv.inverse(levels)
+        fresh = iron(non_implement_dist()).inverse(3.0)
+        calls = []
+        value = IronedVirtualCost.value
+        monkeypatch.setattr(IronedVirtualCost, "value", lambda self, c: calls.append(c) or value(self, c))
+        assert iv.inverse(levels[::-1]).tolist() == first[::-1].tolist()
+        assert iv.inverse(50.0) == first[2] and calls == []
+        # only the new level is solved; the kept ones answer as before
+        assert iv.inverse(np.asarray([3.0, 40.0])).tolist() == [fresh, first[1]]
+        assert calls
 
     def test_round_trip_property(self):
         for dist in (uniform(0, 2), exponential(1.0), non_implement_dist()):
