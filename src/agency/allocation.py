@@ -156,8 +156,7 @@ def virtual_rule(
     ironed virtual cost; breakpoints are inverse images of the welfare
     breakpoints."""
     lo, hi = support if support is not None else (iv.c_low, iv.c_high)
-    q_lo = float(iv.value(lo))
-    q_hi = float(iv.value(hi))
+    q_lo, q_hi = iv.value(np.asarray([lo, hi], dtype=float)).tolist()
     if not q_lo < q_hi:
         # constant ironed virtual cost: a single action wins everywhere
         R = instance.expected_reward_array()

@@ -20,21 +20,9 @@ from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, iro
 
 SIMPSON_PANELS = 256
 ALPHA_GRID = 2001
-
-
-def simpson(f, a: float, b: float, panels: int = SIMPSON_PANELS) -> float:
-    """Composite Simpson rule on [a, b] with ``panels`` panels."""
-    if b <= a:
-        return 0.0
-    x = np.linspace(a, b, 2 * panels + 1)
-    y = np.asarray(f(x), dtype=float)
-    h = (b - a) / panels
-    return float(h / 6.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
-
-
-def _split_points(a: float, b: float, extra) -> list[tuple[float, float]]:
-    pts = sorted({a, b, *(p for p in extra if a < p < b)})
-    return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1) if pts[i + 1] > pts[i]]
+#: Golden-section steps whose probes one ``f`` call prices.
+_GOLDEN_DEPTH = 5
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def integrate_against(
@@ -50,20 +38,24 @@ def integrate_against(
     """Integrate ``f`` against the distribution over [a, b].
 
     The continuous part is integrated segment by segment (segments split at
-    density kinks and any extra breakpoints); atoms in [a, b] contribute
+    density kinks and any extra breakpoints), each by the composite Simpson
+    rule with ``panels`` panels; atoms in [a, b] contribute
     ``mass * f(location)``. Integrand and density are sampled a hair inside
     each segment (``endpoint_inset`` relative) so that nodes landing exactly
-    on a kink take the segment-interior value.
+    on a kink take the segment-interior value. The nodes of all segments go
+    to one ``f`` and one ``pdf`` call; ``f`` must act elementwise.
     """
     total = 0.0
-    for lo, hi in _split_points(a, b, list(dist.kinks()) + list(extra_breaks)):
+    ends = sorted({a, b, *(p for p in (*dist.kinks(), *extra_breaks) if a < p < b)})
+    if len(ends) > 1:
+        lo, hi = np.asarray(ends[:-1]), np.asarray(ends[1:])
         delta = endpoint_inset * (hi - lo)
-
-        def y(x, lo=lo, hi=hi, delta=delta):
-            xin = np.clip(np.asarray(x), lo + delta, hi - delta)
-            return np.asarray(f(xin)) * np.asarray(dist.pdf(xin, side="right"))
-
-        total += simpson(y, lo, hi, panels)
+        x = np.clip(np.linspace(lo, hi, 2 * panels + 1, axis=1), (lo + delta)[:, None], (hi - delta)[:, None]).ravel()
+        y = (np.asarray(f(x)) * np.asarray(dist.pdf(x, side="right"))).reshape(len(lo), -1)
+        h = (hi - lo) / panels
+        seg = h / 6.0 * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1:-1:2].sum(axis=1) + 2.0 * y[:, 2:-2:2].sum(axis=1))
+        for v in seg.tolist():  # one segment at a time: a numpy sum would round differently
+            total += v
     if include_atoms:
         for loc, mass in dist.atoms:
             if a <= loc <= b:
@@ -197,19 +189,23 @@ def linear_revenue_quadrature(
 # virtual welfare
 
 
-def _phibar_mass_integral(dist: TypeDistribution, iv: IronedVirtualCost, a: float, b: float) -> float:
+def _phibar_mass_integral(dist: TypeDistribution, iv: IronedVirtualCost, a: float, b: float, G=None) -> float:
     """Exact ``∫_a^b ironed_virtual_cost(c) g(c) dc`` using CDF values only.
 
     Off the flats the ironed function equals ``c + G/g``, whose density-
     weighted antiderivative is ``c G(c)``; on a flat the level is constant.
+    ``G`` maps ``a``, ``b`` and the flat ends to their CDF values (by
+    default from one ``dist.cdf`` call).
     """
     if b <= a:
         return 0.0
+    if G is None:
+        G = _cdf_values(dist, [a, b, *(end for flat in iv.flats for end in flat[:2])])
     total = 0.0
     cursor = a
 
     def follow(lo: float, hi: float) -> float:
-        return hi * float(dist.cdf(hi)) - lo * float(dist.cdf(lo))
+        return hi * G[hi] - lo * G[lo]
 
     for flo, fhi, level in iv.flats:
         s_lo, s_hi = max(flo, cursor), min(fhi, b)
@@ -217,11 +213,16 @@ def _phibar_mass_integral(dist: TypeDistribution, iv: IronedVirtualCost, a: floa
             continue
         if s_lo > cursor:
             total += follow(cursor, s_lo)
-        total += level * (float(dist.cdf(s_hi)) - float(dist.cdf(s_lo)))
+        total += level * (G[s_hi] - G[s_lo])
         cursor = s_hi
     if b > cursor:
         total += follow(cursor, b)
     return total
+
+
+def _cdf_values(dist: TypeDistribution, costs: list[float]) -> dict:
+    """``{cost: G(cost)}`` from one CDF call."""
+    return dict(zip(costs, np.asarray(dist.cdf(np.asarray(costs, dtype=float))).tolist()))
 
 
 def virtual_welfare(
@@ -235,6 +236,7 @@ def virtual_welfare(
     Breakpoint closed form: summing interval masses of the virtual-welfare
     rule reproduces the telescoped breakpoint sums, including the boundary
     correction when the interval starts strictly inside an action's range.
+    Every CDF value comes from one ``dist.cdf`` call.
     """
     if dist.has_atoms:
         raise AtomPresentError("virtual welfare requires an atom-free distribution")
@@ -248,13 +250,13 @@ def virtual_welfare(
         return 0.0
     R = instance.expected_reward_array()
     g = instance.gamma_array()
+    segs = [(max(seg_lo, lo), min(seg_hi, hi), action) for seg_lo, seg_hi, action in rule.intervals()]
+    segs = [seg for seg in segs if seg[1] > seg[0]]
+    G = _cdf_values(dist, [*(end for seg in segs for end in seg[:2]), *(end for flat in iv.flats for end in flat[:2])])
     total = 0.0
-    for seg_lo, seg_hi, action in rule.intervals():
-        s_lo, s_hi = max(seg_lo, lo), min(seg_hi, hi)
-        if s_hi <= s_lo:
-            continue
-        mass = float(dist.cdf(s_hi)) - float(dist.cdf(s_lo))
-        total += R[action] * mass - g[action] * _phibar_mass_integral(dist, iv, s_lo, s_hi)
+    for s_lo, s_hi, action in segs:
+        mass = G[s_hi] - G[s_lo]
+        total += R[action] * mass - g[action] * _phibar_mass_integral(dist, iv, s_lo, s_hi, G)
     return total
 
 
@@ -294,26 +296,42 @@ def virtual_welfare_quadrature(
 # optimal linear contract
 
 
+def _golden_step(a: float, b: float, c: float, d: float, up: bool) -> tuple[float, float, float, float]:
+    """Bracket ``a, b`` and probes ``c, d`` after one golden-section step:
+    toward ``c`` when ``up`` (f(c) >= f(d)), with ``c`` the new probe, else
+    toward ``d``, with ``d`` the new probe."""
+    return (a, d, d - _INV_PHI * (d - a), c) if up else (c, b, d, c + _INV_PHI * (b - c))
+
+
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, value)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    """Golden-section maximization on [lo, hi]; returns (argmax, value).
+
+    ``f`` maps an array of points to their values, elementwise. One call
+    prices the new probe of each of the next :data:`_GOLDEN_DEPTH` steps
+    for every outcome of their comparisons, in heap order, and the steps
+    walk that tree: the points and bits of one ``f`` call per step.
+    """
     a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(np.asarray([c, d])).tolist()
     best_x, best_v = (c, fc) if fc >= fd else (d, fd)
+    priced, k = [], 0
     while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
+        if k >= len(priced):  # node k's children follow fc >= fd (2k+1) and fc < fd (2k+2)
+            tree, probes = [(a, b, c, d, fc >= fd)], []
+            for _ in range(_GOLDEN_DEPTH):
+                steps = [(_golden_step(*node), node[4]) for node in tree]
+                probes += [step[2] if up else step[3] for step, up in steps]
+                tree = [(*step, up) for step, _ in steps for up in (True, False)]
+            priced, k = f(np.asarray(probes)).tolist(), 0
+        up = fc >= fd
+        a, b, c, d = _golden_step(a, b, c, d, up)
+        fc, fd = (priced[k], fc) if up else (fd, priced[k])
         x, v = (c, fc) if fc >= fd else (d, fd)
         if v > best_v:
             best_x, best_v = x, v
+        k = 2 * k + (1 if fc >= fd else 2)
     return best_x, best_v
 
 

@@ -48,6 +48,8 @@ CDF_FLOOR = 1e-12
 TAIL_EPS = 1e-9
 #: Uniform points of the ironing grid (density kinks are added to them).
 IRON_GRID = 4096
+#: Most bisection rounds, and most points, one ``value`` call prices.
+_BISECT_DEPTH, _BISECT_POINTS = 6, 256
 
 
 class DistributionError(ValueError):
@@ -582,20 +584,40 @@ class IronedVirtualCost:
 
     def _bisect(self, qa: np.ndarray) -> np.ndarray:
         """:meth:`inverse` at each level of ``qa``, by one bisection on all
-        levels together; each level stops once its bracket closes."""
+        levels together; each level stops once its bracket closes.
+
+        One ``value`` call prices every midpoint the next D rounds could
+        visit (2**D - 1 per live level, all inside its bracket, built with
+        the rounds' own ``0.5 * (lo + hi)``), and the rounds walk the stored
+        comparisons: the points and bits of one round per call. D shrinks
+        from :data:`_BISECT_DEPTH` to keep a call within :data:`_BISECT_POINTS`.
+        """
         lo = np.full(qa.shape, self.c_low)
         hi = np.full(qa.shape, self.c_high)
-        below = qa < float(self.value(self.c_low))
-        above = qa >= float(self.value(self.c_high))
+        v_low, v_high = self.value(np.asarray([self.c_low, self.c_high]))
+        below = qa < v_low
+        above = qa >= v_high
         live = np.flatnonzero(~(below | above))
-        for _ in range(200):
-            if not len(live):
-                break
-            mid = 0.5 * (lo[live] + hi[live])
-            left = self.value(mid) <= qa[live]
-            lo[live[left]] = mid[left]
-            hi[live[~left]] = mid[~left]
-            live = live[hi[live] - lo[live] > 1e-15 * np.maximum(1.0, np.abs(hi[live]))]
+        rounds = 0
+        while len(live) and rounds < 200:
+            depth = min(_BISECT_DEPTH, 200 - rounds, max(1, (_BISECT_POINTS // len(live) + 1).bit_length() - 1))
+            # column 2**d - 1 + j holds round d's midpoint j: raising lo there
+            # leads to midpoint j of round d + 1, lowering hi to j + 2**d
+            l, h = lo[live], hi[live]
+            L, H, mids = l[:, None], h[:, None], [0.5 * (l + h)[:, None]]
+            for _ in range(depth - 1):
+                L, H = np.concatenate([mids[-1], L], axis=1), np.concatenate([H, mids[-1]], axis=1)
+                mids.append(0.5 * (L + H))
+            mids = np.concatenate(mids, axis=1)
+            lefts = self.value(mids.ravel()).reshape(mids.shape) <= qa[live, None]
+            row, col, active = np.arange(len(live)), np.zeros(len(live), dtype=np.intp), np.ones(len(live), dtype=bool)
+            for d in range(depth):
+                mid, left = mids[row, 2**d - 1 + col], lefts[row, 2**d - 1 + col]
+                l, h = np.where(active & left, mid, l), np.where(active & ~left, mid, h)
+                active &= h - l > 1e-15 * np.maximum(1.0, np.abs(h))
+                col += 2**d * ~left
+            lo[live], hi[live], live = l, h, live[active]
+            rounds += depth
         # a bracket this tight that still contains a density kink means the
         # ironed virtual cost jumps across q there; the supremum is the kink
         kinks = np.asarray(self.dist.kinks())

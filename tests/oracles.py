@@ -1,10 +1,14 @@
-"""Brute-force grid oracles for the exact certificate and audit LPs.
+"""Reference implementations the tests compare ``agency`` against.
 
-Both enumerate payment profiles on a box with a fixed step, so their
-statements hold relative to that grid only. The tests compare the LPs in
-``agency`` against them: the LPs search every ``t >= 0``, so they must find
-at least as good a profile as the grid, and equal values where the grid
-contains an optimum.
+Brute-force grid oracles for the exact certificate and audit LPs: both
+enumerate payment profiles on a box with a fixed step, so their statements
+hold relative to that grid only. The LPs in ``agency`` search every
+``t >= 0``, so they must find at least as good a profile as the grid, and
+equal values where the grid contains an optimum.
+
+Sequential searches, one step per call: the bisection behind
+``IronedVirtualCost.inverse`` and the golden-section polish of
+``best_linear``. The batched searches must return the same bits.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 from agency.allocation import AllocationRule
 from agency.incentives import CURVATURE_TOL, _ActionPath
 from agency.instance import TIE_TOL, Instance, best_responses
+from agency.typedist import IronedVirtualCost
 
 
 @dataclass(frozen=True)
@@ -191,3 +196,52 @@ def grid_best_contract(
             best_rev = float(rev[k])
             best_t = (0.0, *[float(v) for v in t_rest[k]])
     return best_rev, best_t
+
+
+def bisect_one_round_per_call(iv: IronedVirtualCost, qa: np.ndarray) -> np.ndarray:
+    """``iv.inverse`` at each level of ``qa``, by one bisection on all levels
+    together with one ``value`` call per round; each level stops once its
+    bracket closes."""
+    lo = np.full(qa.shape, iv.c_low)
+    hi = np.full(qa.shape, iv.c_high)
+    below = qa < float(iv.value(iv.c_low))
+    above = qa >= float(iv.value(iv.c_high))
+    live = np.flatnonzero(~(below | above))
+    for _ in range(200):
+        if not len(live):
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        left = iv.value(mid) <= qa[live]
+        lo[live[left]] = mid[left]
+        hi[live[~left]] = mid[~left]
+        live = live[hi[live] - lo[live] > 1e-15 * np.maximum(1.0, np.abs(hi[live]))]
+    # a bracket this tight that still contains a density kink means the
+    # ironed virtual cost jumps across q there; the supremum is the kink
+    kinks = np.asarray(iv.dist.kinks())
+    bracketed = (lo[:, None] <= kinks) & (kinks <= hi[:, None])
+    out = np.where(bracketed.any(axis=1), kinks[bracketed.argmax(axis=1)], lo)
+    return np.where(below, iv.c_low, np.where(above, iv.c_high, out))
+
+
+def golden_section_one_step_per_call(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi] with one scalar ``f`` call
+    per step; returns (argmax, value)."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        x, v = (c, fc) if fc >= fd else (d, fd)
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_x, best_v

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,25 +8,43 @@ import pytest
 from agency import (
     Instance,
     IronedVirtualCost,
+    TypeDistribution,
     best_linear,
     envelope_rule,
+    from_spec,
     iron,
     ironed,
     linear_revenue,
     linear_revenue_quadrature,
+    mixture,
     piecewise,
     point_mass,
+    smoothed_point_mass,
     uniform,
     virtual_rule,
     virtual_welfare,
     virtual_welfare_quadrature,
     welfare,
 )
+from agency import metrics
 from agency.examples import gap, minimal_linear_alpha, smoothed
 from agency.instance import best_responses
-from agency.metrics import _welfare_breakpoint_candidates
+from agency.metrics import _welfare_breakpoint_candidates, golden_section_max, integrate_against
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
+from oracles import golden_section_one_step_per_call
+
+LIBRARY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "library_pairs.json")
+
+
+def polish_pairs():
+    """The 48 golden library pairs plus pairs whose types carry atoms."""
+    with open(LIBRARY, encoding="utf-8") as fh:
+        pairs = [(Instance(**p["instance"]), from_spec(p["dist"])) for p in json.load(fh)]
+    atoms = [(inst, smoothed_point_mass(eps)) for (inst, _), eps in zip(battery(3, 8), np.linspace(0.05, 0.6, 8))]
+    atoms += [(inst, mixture([(0.5, point_mass(0.5 * dist.effective_high())), (0.5, dist)]))
+              for inst, dist in battery(4, 4)]
+    return pairs + atoms
 
 
 def null_only_instance():
@@ -146,6 +166,18 @@ class TestWelfare:
             right = welfare(inst, dist, (b, c))
             assert left + right == pytest.approx(welfare(inst, dist, (a, c)), abs=1e-9 * max(1, hi))
 
+    def test_one_pdf_call_per_integral(self, monkeypatch):
+        calls = []
+        pdf = TypeDistribution.pdf
+        monkeypatch.setattr(TypeDistribution, "pdf", lambda self, x, side="right": calls.append(x) or pdf(self, x, side))
+        dist = piecewise([(0, 1, 0.5), (1, 2, 0.3), (2, 3, 0.2)])
+        total = integrate_against(dist, lambda c: c * c, 0.0, 3.0, extra_breaks=(0.5, 2.5))
+        assert len(calls) == 1 and calls[0].shape == (5 * (2 * metrics.SIMPSON_PANELS + 1),)
+        assert total == pytest.approx(0.5 / 3 + 0.3 * 7 / 3 + 0.2 * 19 / 3, rel=1e-12)
+        inst, dist = battery(12, 1)[0]
+        welfare(inst, dist)
+        assert len(calls) == 2
+
 
 class TestVirtualWelfare:
     def test_null_only(self):
@@ -177,6 +209,22 @@ class TestVirtualWelfare:
             rev = linear_revenue(inst, dist, 0.5)
             vwel = virtual_welfare(inst, dist)
             assert rev == pytest.approx(vwel, rel=1e-6)
+
+    def test_one_cdf_call(self, monkeypatch):
+        # the rule's interval ends and the flat ends go to one array call
+        d = 20.0 / 23.0
+        pairs = battery(13, 3) + [(battery(13, 1)[0][0], piecewise([(0, 1, d), (1, 4, 0.025 * d), (4, 10, 0.0125 * d)]))]
+        for inst, dist in pairs:
+            iv = iron(dist)
+            rule = virtual_rule(inst, iv)
+            expected = (virtual_welfare(inst, dist, iv=iv), virtual_welfare(inst, dist, (1.0, math.inf), iv=iv))
+            calls = []
+            cdf = TypeDistribution.cdf
+            monkeypatch.setattr(metrics, "virtual_rule", lambda *_: rule)
+            monkeypatch.setattr(TypeDistribution, "cdf", lambda self, x: calls.append(x) or cdf(self, x))
+            assert (virtual_welfare(inst, dist, iv=iv), virtual_welfare(inst, dist, (1.0, math.inf), iv=iv)) == expected
+            assert len(calls) == 2
+            monkeypatch.undo()
 
     def test_literal_breakpoint_sums(self):
         # hand-sized instance where every action is allocated: the interval
@@ -268,6 +316,36 @@ class TestBestLinear:
             assert len(solved) == before + 1
             rule = virtual_rule(inst, ironed(dist))
             assert len(solved) == before + 1 and len(rule.breakpoints) > 2
+
+    def test_batched_polish_matches_one_step_per_call(self, monkeypatch):
+        # every bracket best_linear polishes, searched both ways
+        searches = []
+        monkeypatch.setattr(metrics, "golden_section_max",
+                            lambda f, lo, hi: searches.append((f, lo, hi)) or golden_section_max(f, lo, hi))
+        results = [best_linear(inst, dist) for inst, dist in polish_pairs()]
+        assert len(searches) == len(results) == 60
+        for f, lo, hi in searches:
+            assert golden_section_max(f, lo, hi) == golden_section_one_step_per_call(f, lo, hi)
+        monkeypatch.setattr(metrics, "golden_section_max", golden_section_one_step_per_call)
+        assert [best_linear(inst, dist) for inst, dist in polish_pairs()] == results
+
+    def test_golden_section_on_ties_and_steps(self):
+        # equal values at both probes decide every step the same way
+        for f in (lambda x: np.floor(np.asarray(x) * 8.0), lambda x: -np.abs(np.asarray(x) - 0.3),
+                  lambda x: np.zeros_like(np.asarray(x, dtype=float)), lambda x: np.sin(9.0 * np.asarray(x))):
+            for lo, hi in ((0.0, 1.0), (0.29, 0.31), (0.5, 0.5 + 1e-11)):
+                assert golden_section_max(f, lo, hi) == golden_section_one_step_per_call(f, lo, hi)
+
+    def test_at_most_twelve_revenue_calls(self, monkeypatch):
+        # the grid, the first two probes and about nine priced trees; one
+        # share per call took 45 to 47 calls
+        calls = []
+        revenue = metrics.linear_revenue
+        monkeypatch.setattr(metrics, "linear_revenue", lambda *args: calls.append(args) or revenue(*args))
+        for inst, dist in polish_pairs()[::4]:
+            before = len(calls)
+            best_linear(inst, dist)
+            assert len(calls) - before <= 12
 
     def test_gap_bounded_by_two(self):
         ex = gap(n=10, delta=0.01)

@@ -26,10 +26,39 @@ from agency import (
     uniform,
 )
 
+from oracles import bisect_one_round_per_call
+
 
 def non_implement_dist():
     d = 20.0 / 23.0
     return piecewise([(0, 1, d), (1, 4, 0.025 * d), (4, 10, 0.0125 * d)])
+
+
+#: Ironing inputs of the bisection oracle tests: the regular families, the
+#: counterexample with its jumps, a zero-density gap and a two-bump density.
+BISECT_DISTS = {
+    "uniform": uniform(0, 2),
+    "exponential": exponential(1.0),
+    "truncated_normal": truncated_normal(1, 2, 0),
+    "piecewise_down": piecewise([(0, 1, 0.5), (1, 2, 0.3), (2, 3, 0.2)]),
+    "non_implement": non_implement_dist(),
+    "gapped": mixture([(0.4, uniform(0, 3)), (0.6, uniform(5, 9))]),
+    "two_bump": mixture([(0.4, uniform(0, 3)), (0.6, uniform(2, 5))]),
+}
+
+
+def spread_levels(iv: IronedVirtualCost, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` distinct levels spread along the cost axis; a hundred or more
+    also hold both range ends, a level past each end and every flat level."""
+    lo, hi = float(iv.values[0]), float(iv.values[-1])
+    levels = np.interp(rng.random(n), np.linspace(0.0, 1.0, len(iv.values)), iv.values)
+    if n >= 100:
+        special = [lo - 1.0, hi + 1.0, lo, hi, *(level for _, _, level in iv.flats)]
+        levels[: len(special)] = special
+    levels = np.unique(levels)
+    while len(levels) < n:  # levels drawn inside a flat coincide
+        levels = np.unique(np.concatenate([levels, rng.uniform(lo, hi, n - len(levels))]))
+    return levels
 
 
 class TestCdf:
@@ -238,6 +267,29 @@ class TestIronInverse:
         assert iv.inverse(100.0) == pytest.approx(9.0, abs=1e-12)
         assert type(iv.inverse(50.0)) is float
         assert iv.inverse(np.asarray([])).shape == (0,)
+
+    @pytest.mark.parametrize("name", sorted(BISECT_DISTS))
+    def test_batched_bisection_matches_one_round_per_call(self, name):
+        # live levels set the rounds one value call prices: 1 level six
+        # rounds, 5 five, 12 four, 30 three, 60 two, and 100 or 5,000 one
+        # until most have closed
+        dist = BISECT_DISTS[name]
+        rng = np.random.default_rng(17)
+        for n in (1, 5, 12, 30, 60, 100, 5000):
+            levels = spread_levels(iron(dist), n, rng)
+            assert len(levels) == n
+            assert iron(dist).inverse(levels).tolist() == bisect_one_round_per_call(iron(dist), levels).tolist()
+
+    def test_fresh_level_takes_at_most_twelve_value_calls(self, monkeypatch):
+        # one round per call took 53 to 57 calls on these
+        calls = []
+        value = IronedVirtualCost.value
+        monkeypatch.setattr(IronedVirtualCost, "value", lambda self, c: calls.append(c) or value(self, c))
+        for dist in BISECT_DISTS.values():
+            iv = iron(dist)
+            before = len(calls)
+            iv.inverse(float(np.median(iv.values)))
+            assert 2 <= len(calls) - before <= 12
 
     def test_nan_level_raises(self):
         iv = iron(exponential(1.0))
