@@ -384,13 +384,13 @@ def _checks_menu(args) -> list[dict]:
         worst = max(worst, abs(float(T[i]) - ex.facts["expected_payments"][i - 1]))
     checks.append({"name": "expected_payments_closed_form", "value": worst, "expected": 0.0,
                    "passed": worst <= 1e-9})
-    pieces = menu_induced_pieces(inst, contract, 1000)
+    pieces = menu_induced_pieces(inst, contract)
     induced = sorted(p[1] for p in pieces[:-1])
     claimed = sorted(list(ex.facts["virtual_breakpoints"]) + [ex.facts["action_breakpoint_top"]])
     ok = len(induced) == len(claimed) and all(abs(a - b) <= 1e-6 for a, b in zip(induced, claimed))
-    checks.append({"name": "grid_best_responses_reproduce_rule", "value": induced,
+    checks.append({"name": "best_responses_reproduce_rule", "value": induced,
                    "expected": claimed, "passed": ok})
-    rep = check_menu_ic(inst, contract, 1000)
+    rep = check_menu_ic(inst, contract)
     checks.append({"name": "menu_ic", "value": {"selection_gap": rep.worst_selection_gap,
                                                 "dstar": rep.worst_dstar},
                    "expected": 0.0, "passed": rep.passed})
@@ -437,8 +437,8 @@ def cmd_check_ic(args) -> int:
     scan = _scan_points()
     inst, _, _ = load_instance(args.instance)
     contract = load_contract(args.contract)
-    rep = check_menu_ic(inst, contract, args.grid)
-    rows = menu_curvature_rows(inst, contract, args.grid)
+    rep = check_menu_ic(inst, contract)
+    rows = menu_curvature_rows(inst, contract)
     report = _report(
         "check-ic",
         scan,
@@ -511,7 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check-ic", help="curvature summary for a contract file")
     pc.add_argument("--instance", required=True)
     pc.add_argument("--contract", required=True)
-    pc.add_argument("--grid", type=int, default=1000)
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_check_ic)
     return p

@@ -9,6 +9,8 @@ terms are piecewise linear, so the worst deviation is found exactly at the
 kinks of h. Over all payments at once, the least worst deviation and the
 best contract for a distribution of atoms are small LPs (HiGHS through
 ``scipy.optimize``), decided for every ``t >= 0`` rather than on a grid.
+A menu's selection gap and D* kink only where two of its (action, profile)
+lines cross, so its IC is checked exactly there and at its breakpoints.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .allocation import AllocationRule, interval_index, rule_from_payments, virtual_rule
+from .allocation import AllocationRule, _envelope_rule_from_lines, interval_index, rule_from_payments, virtual_rule
 from .instance import TIE_TOL, Instance, PaymentProfile, best_responses, linear_payments
 from .metrics import add_atom_revenue
 from .typedist import TypeDistribution, ironed
@@ -99,18 +101,17 @@ class CurvatureCheck:
     consistent: bool
 
 
-def _deviation_candidates(
-    instance: Instance, T: np.ndarray, path: _ActionPath
-) -> np.ndarray:
-    lo, hi = path.support
-    g = instance.gamma_array()
-    pts = list(path.knots)
-    for i, j in combinations(range(len(g)), 2):
-        if g[j] != g[i]:
-            x = (T[i] - T[j]) / (g[i] - g[j])
-            if lo < x < hi:
-                pts.append(float(x))
-    return np.unique(np.asarray(pts, dtype=float))
+def _crossings(T: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Costs strictly inside ``(lo, hi)`` where two lines ``T[i] - g[i] * c``
+    of different slopes cross, pairs taken in the order ``i < j``."""
+    i, j = np.triu_indices(len(g), 1)
+    i, j = i[g[i] != g[j]], j[g[i] != g[j]]
+    x = (T[i] - T[j]) / (g[i] - g[j])
+    return x[(lo < x) & (x < hi)]
+
+
+def _deviation_candidates(instance: Instance, T: np.ndarray, path: _ActionPath) -> np.ndarray:
+    return np.unique(np.concatenate([path.knots, _crossings(T, instance.gamma_array(), *path.support)]))
 
 
 def _utility_envelope(instance: Instance, T: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -436,7 +437,9 @@ def menu_revenue(instance: Instance, dist: TypeDistribution, contract: MenuContr
 
 @dataclass(frozen=True)
 class MenuIcReport:
-    """Grid summary of a menu's incentive compatibility."""
+    """Exact summary of a menu's incentive compatibility: the worst
+    selection gap and D* over every type, found at ``checked_types``
+    checkpoints (:func:`_menu_checkpoints`)."""
 
     worst_selection_gap: float
     worst_selection_type: float
@@ -446,62 +449,6 @@ class MenuIcReport:
     passed: bool
 
 
-def _menu_dstar(instance: Instance, contract: MenuContract, grid: np.ndarray) -> np.ndarray:
-    """D* at each grid type along the menu's induced action path, anchored
-    on the payments the type is assigned."""
-    path = menu_path(instance, contract)
-    assigned = contract.profile_index_at(grid)
-    dstar = np.empty(len(grid))
-    for pidx in np.unique(assigned):
-        at = assigned == pidx
-        T = instance.expected_payments(contract.profiles[pidx])
-        dstar[at] = _anchored_dstar(instance, path, T, grid[at])[0]
-    return dstar
-
-
-def check_menu_ic(
-    instance: Instance,
-    contract: MenuContract,
-    grid_points: int = 1000,
-    tol: float = CURVATURE_TOL,
-) -> MenuIcReport:
-    """Verify, on a type grid, that no type prefers another menu entry.
-
-    Reports both the worst self-selection gap (utility of the best menu
-    entry minus the assigned one) and the worst anchored curvature value
-    along the induced action path.
-    """
-    lo, hi = contract.support
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, grid_points), contract.breakpoints]))
-    utils = np.stack([_utility_envelope(instance, instance.expected_payments(p), grid)
-                      for p in contract.profiles], axis=1)  # (grid, profiles)
-    gap = utils.max(axis=1) - utils[np.arange(len(grid)), contract.profile_index_at(grid)]
-    worst_gap_k = int(np.argmax(gap))
-    dstar = _menu_dstar(instance, contract, grid)
-    worst_k = int(np.argmax(dstar))
-    return MenuIcReport(
-        worst_selection_gap=float(gap[worst_gap_k]),
-        worst_selection_type=float(grid[worst_gap_k]),
-        worst_dstar=float(dstar[worst_k]),
-        worst_dstar_anchor=float(grid[worst_k]),
-        checked_types=len(grid),
-        passed=bool(gap[worst_gap_k] <= tol and dstar[worst_k] <= tol),
-    )
-
-
-def menu_curvature_rows(
-    instance: Instance,
-    contract: MenuContract,
-    grid_points: int = 1000,
-    tol: float = CURVATURE_TOL,
-) -> list[dict]:
-    """Per-type curvature summary along the menu's induced action path."""
-    lo, hi = contract.support
-    grid = np.linspace(lo, hi, grid_points)
-    dstar = _menu_dstar(instance, contract, grid)
-    return [{"type": float(c), "dstar": float(d), "passed": bool(d <= tol)} for c, d in zip(grid, dstar)]
-
-
 def _menu_columns(instance: Instance, contract: MenuContract) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expected payment, effort and expected reward of every (action,
     profile) pair, as columns ``action * len(profiles) + profile``: the last
@@ -509,6 +456,69 @@ def _menu_columns(instance: Instance, contract: MenuContract) -> tuple[np.ndarra
     T = np.stack([instance.expected_payments(p) for p in contract.profiles], axis=1).ravel()
     P = len(contract.profiles)
     return T[None, :], np.repeat(instance.gamma_array(), P), np.repeat(instance.expected_reward_array(), P)
+
+
+def _menu_checkpoints(instance: Instance, contract: MenuContract) -> tuple[np.ndarray, np.ndarray]:
+    """The types where a menu's selection gap and D* can peak, and the
+    profile each is checked with, ``[2, types]``.
+
+    On an assignment interval both are piecewise linear in the type, with
+    kinks only where two (action, profile) lines cross, so the checkpoints
+    are every crossing inside the support and every breakpoint. The
+    intervals are half-open, so a breakpoint is checked with the profile of
+    the interval it owns and with that of the interval above it.
+    """
+    T, g, _ = _menu_columns(instance, contract)
+    z = np.asarray(contract.breakpoints)
+    types = np.unique(np.concatenate([_crossings(T[0], g, *contract.support), z]))
+    k = interval_index(z, types)
+    return types, np.asarray(contract.profile_index)[np.stack([k, np.maximum(k - (types == z[k]), 0)])]
+
+
+def _menu_dstar(instance: Instance, contract: MenuContract, types: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    """D* at each type along the menu's induced action path, anchored on
+    the payments of the profile ``assigned`` to it (an array of any shape
+    that ``types`` broadcasts to)."""
+    path = menu_path(instance, contract)
+    types = np.broadcast_to(types, assigned.shape)
+    dstar = np.empty(assigned.shape)
+    for pidx in np.unique(assigned):
+        at = assigned == pidx
+        T = instance.expected_payments(contract.profiles[pidx])
+        dstar[at] = _anchored_dstar(instance, path, T, types[at])[0]
+    return dstar
+
+
+def check_menu_ic(instance: Instance, contract: MenuContract, *, tol: float = CURVATURE_TOL) -> MenuIcReport:
+    """Verify exactly that no type prefers another menu entry.
+
+    Reports both the worst self-selection gap (utility of the best menu
+    entry minus the assigned one) and the worst anchored curvature value
+    along the induced action path, each the supremum over all types.
+    """
+    types, sides = _menu_checkpoints(instance, contract)
+    utils = np.stack([_utility_envelope(instance, instance.expected_payments(p), types)
+                      for p in contract.profiles], axis=1)  # (types, profiles)
+    gap = (utils.max(axis=1) - utils[np.arange(len(types)), sides]).max(axis=0)
+    worst_gap_k = int(np.argmax(gap))
+    dstar = _menu_dstar(instance, contract, types, sides).max(axis=0)
+    worst_k = int(np.argmax(dstar))
+    return MenuIcReport(
+        worst_selection_gap=float(gap[worst_gap_k]),
+        worst_selection_type=float(types[worst_gap_k]),
+        worst_dstar=float(dstar[worst_k]),
+        worst_dstar_anchor=float(types[worst_k]),
+        checked_types=len(types),
+        passed=bool(gap[worst_gap_k] <= tol and dstar[worst_k] <= tol),
+    )
+
+
+def menu_curvature_rows(instance: Instance, contract: MenuContract, *, tol: float = CURVATURE_TOL) -> list[dict]:
+    """D* at each of :func:`check_menu_ic`'s checkpoints, the worse of
+    both sides at a breakpoint."""
+    types, sides = _menu_checkpoints(instance, contract)
+    dstar = _menu_dstar(instance, contract, types, sides).max(axis=0)
+    return [{"type": float(c), "dstar": float(d), "passed": bool(d <= tol)} for c, d in zip(types, dstar)]
 
 
 def menu_selection(instance: Instance, contract: MenuContract, c: float) -> tuple[int, int]:
@@ -521,38 +531,16 @@ def menu_selection(instance: Instance, contract: MenuContract, c: float) -> tupl
     return pidx, action
 
 
-def menu_induced_pieces(
-    instance: Instance,
-    contract: MenuContract,
-    grid_points: int = 1000,
-    refine_tol: float = 1e-12,
-) -> list[tuple[float, float, int]]:
-    """Ascending (lo, hi, action) pieces of the menu's grid best responses.
+def menu_induced_pieces(instance: Instance, contract: MenuContract) -> list[tuple[float, float, int]]:
+    """Ascending (lo, hi, action) pieces of the menu's best responses: the
+    upper envelope of the (action, profile) lines over the support.
 
-    Action switches located on the grid are refined by bisection, so the
-    returned boundaries are sharp wherever the selection is monotone.
+    Parallel lines are the same action in different profiles, and only the
+    best of them survives, so each action makes at most one piece.
     """
-    lo, hi = contract.support
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, grid_points), contract.breakpoints]))
     T, g, R = _menu_columns(instance, contract)
-    P = len(contract.profiles)
-    acts = best_responses(T, grid, g, R) // P
-    pieces: list[tuple[float, float, int]] = []
-    start = grid[0]
-    for k in range(1, len(grid)):
-        if acts[k] != acts[k - 1]:
-            a_lo, a_hi = grid[k - 1], grid[k]
-            left_action = acts[k - 1]
-            while a_hi - a_lo > refine_tol * max(1.0, abs(a_hi)):
-                mid = 0.5 * (a_lo + a_hi)
-                if best_responses(T, mid, g, R)[0] // P == left_action:
-                    a_lo = mid
-                else:
-                    a_hi = mid
-            pieces.append((float(start), float(a_hi), int(left_action)))
-            start = a_hi
-    pieces.append((float(start), float(grid[-1]), int(acts[-1])))
-    return pieces
+    rule = _envelope_rule_from_lines(T[0], g, R - T[0], contract.support)
+    return [(lo, hi, col // len(contract.profiles)) for lo, hi, col in rule.intervals()]
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +578,7 @@ def _likelihood_outcomes(instance: Instance) -> tuple[list[int], np.ndarray]:
 def binary_action_optimal(
     instance: Instance,
     dist: TypeDistribution,
-    grid_points: int = 1000,
+    *,
     tol: float = CURVATURE_TOL,
 ) -> MenuContract:
     """Optimal contract for the two-non-null-action setting.
@@ -598,7 +586,7 @@ def binary_action_optimal(
     Builds the virtual-welfare-maximizing rule, pays each recommended
     action only on its likelihood-ratio-maximizing outcome with the
     magnitude dictated by the payment identity, and verifies incentive
-    compatibility on a type grid before returning.
+    compatibility exactly (:func:`check_menu_ic`) before returning.
     """
     if instance.n != 2:
         raise PreconditionError("binary-action construction needs exactly two non-null actions")
@@ -642,10 +630,10 @@ def binary_action_optimal(
         profile_index=profile_index,
         u_bar=0.0,
     )
-    report = check_menu_ic(instance, contract, grid_points=grid_points, tol=tol)
+    report = check_menu_ic(instance, contract, tol=tol)
     if not report.passed:
         raise PreconditionError(
-            "constructed contract failed the grid IC check "
+            "constructed contract failed the IC check "
             f"(selection gap {report.worst_selection_gap:g}, D* {report.worst_dstar:g})"
         )
     return contract
@@ -659,15 +647,14 @@ def binary_outcome_transform(
     instance: Instance,
     contract: MenuContract,
     dist: TypeDistribution | None = None,
-    grid_points: int = 1000,
 ) -> MenuContract:
     """Rewrite a binary-outcome contract to pay nothing on the null outcome.
 
     Types recommended the null action are moved to the free action 1 with
     an outcome-1 payment of equal expected value; all other payments keep
     their non-null coordinates. When a distribution is supplied the
-    transform asserts that expected revenue weakly increases and that the
-    grid IC check still passes.
+    transform asserts that expected revenue weakly increases and that an
+    IC contract stays IC (:func:`check_menu_ic`).
     """
     if instance.m != 2:
         raise AssumptionViolatedError("transform needs exactly two non-null outcomes")
@@ -710,8 +697,8 @@ def binary_outcome_transform(
             raise AssumptionViolatedError(
                 f"transform lost revenue: {after:g} < {before:g}"
             )
-        rep_before = check_menu_ic(instance, contract, grid_points=grid_points)
-        rep_after = check_menu_ic(instance, transformed, grid_points=grid_points)
+        rep_before = check_menu_ic(instance, contract)
+        rep_after = check_menu_ic(instance, transformed)
         if rep_before.passed and not rep_after.passed:
             raise AssumptionViolatedError("transform broke incentive compatibility")
     return transformed

@@ -153,9 +153,10 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np
     for k, action in enumerate(acts):
         total = total + (G[:, k + 1] - G[:, k]) * (1.0 - al) * R[action]
     if dist.atoms:
-        r = instance.reward_array()
-        T = np.array([instance.expected_payments(x * r) for x in al])
-        total = add_atom_revenue(total, instance, dist, T[:, None, :])
+        # stacked matrix-vector products, one per share: a single matrix
+        # product would round differently from ``expected_payments``
+        T = (instance.prob_matrix() @ (al[:, None] * instance.reward_array())[:, :, None]).swapaxes(1, 2)
+        total = add_atom_revenue(total, instance, dist, T)
     return float(total[0]) if shares.ndim == 0 else total
 
 

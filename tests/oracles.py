@@ -4,7 +4,9 @@ Brute-force grid oracles for the exact certificate and audit LPs: both
 enumerate payment profiles on a box with a fixed step, so their statements
 hold relative to that grid only. The LPs in ``agency`` search every
 ``t >= 0``, so they must find at least as good a profile as the grid, and
-equal values where the grid contains an optimum.
+equal values where the grid contains an optimum. Likewise the type-grid
+menu IC check: the exact check's worst values are suprema over every type,
+so they are at least the grid's.
 
 Sequential searches, one step per call: the bisection behind
 ``IronedVirtualCost.inverse`` and the golden-section polish of
@@ -20,7 +22,15 @@ from itertools import combinations
 import numpy as np
 
 from agency.allocation import AllocationRule
-from agency.incentives import CURVATURE_TOL, _ActionPath
+from agency.incentives import (
+    CURVATURE_TOL,
+    MenuContract,
+    MenuIcReport,
+    _ActionPath,
+    _anchored_dstar,
+    _utility_envelope,
+    menu_path,
+)
 from agency.instance import TIE_TOL, Instance, best_responses
 from agency.typedist import IronedVirtualCost
 
@@ -196,6 +206,38 @@ def grid_best_contract(
             best_rev = float(rev[k])
             best_t = (0.0, *[float(v) for v in t_rest[k]])
     return best_rev, best_t
+
+
+def grid_menu_ic(
+    instance: Instance,
+    contract: MenuContract,
+    grid_points: int = 1000,
+    tol: float = CURVATURE_TOL,
+) -> MenuIcReport:
+    """The menu IC check on a type grid: ``grid_points`` evenly spaced types
+    plus the breakpoints, each checked with the profile assigned to it."""
+    lo, hi = contract.support
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, grid_points), contract.breakpoints]))
+    utils = np.stack([_utility_envelope(instance, instance.expected_payments(p), grid)
+                      for p in contract.profiles], axis=1)  # (grid, profiles)
+    gap = utils.max(axis=1) - utils[np.arange(len(grid)), contract.profile_index_at(grid)]
+    worst_gap_k = int(np.argmax(gap))
+    path = menu_path(instance, contract)
+    assigned = contract.profile_index_at(grid)
+    dstar = np.empty(len(grid))
+    for pidx in np.unique(assigned):
+        at = assigned == pidx
+        T = instance.expected_payments(contract.profiles[pidx])
+        dstar[at] = _anchored_dstar(instance, path, T, grid[at])[0]
+    worst_k = int(np.argmax(dstar))
+    return MenuIcReport(
+        worst_selection_gap=float(gap[worst_gap_k]),
+        worst_selection_type=float(grid[worst_gap_k]),
+        worst_dstar=float(dstar[worst_k]),
+        worst_dstar_anchor=float(grid[worst_k]),
+        checked_types=len(grid),
+        passed=bool(gap[worst_gap_k] <= tol and dstar[worst_k] <= tol),
+    )
 
 
 def bisect_one_round_per_call(iv: IronedVirtualCost, qa: np.ndarray) -> np.ndarray:

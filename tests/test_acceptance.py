@@ -163,7 +163,7 @@ def test_criterion_07_menu_example():
             T = inst.expected_payments(ex.contract.profiles[k - 1])
             expect = r1 / 2 + i * dr / (2 * n) + i * i / (2 * n)
             assert float(T[i]) == pytest.approx(expect, abs=1e-9)
-        pieces = menu_induced_pieces(inst, ex.contract, 1000)
+        pieces = menu_induced_pieces(inst, ex.contract)
         induced = sorted(p[1] for p in pieces[:-1])
         claimed = sorted(list(ex.facts["virtual_breakpoints"]) + [ex.facts["action_breakpoint_top"]])
         assert len(induced) == len(claimed)
@@ -204,13 +204,13 @@ def test_criterion_09_ic_property_suite():
 
 
 def test_criterion_10_binary_action_construction():
-    with criterion(10, "two-action optimum: grid-IC and revenue equals virtual welfare", 30.0):
+    with criterion(10, "two-action optimum: exactly IC and revenue equals virtual welfare", 30.0):
         rng = np.random.default_rng(SEED)
         dist = uniform(0.0, 1.0)
         for _ in range(10):
             inst = random_binary_action_instance(rng)
-            contract = binary_action_optimal(inst, dist, grid_points=1000)
-            rep = check_menu_ic(inst, contract, 1000)
+            contract = binary_action_optimal(inst, dist)
+            rep = check_menu_ic(inst, contract)
             assert rep.passed
             rev = menu_revenue(inst, dist, contract)
             vwel = virtual_welfare(inst, dist)

@@ -147,7 +147,7 @@ class TestReproduce:
         report = json.loads(out)
         assert report["passed"] is True
         names = {c["name"] for c in report["checks"]}
-        assert "grid_best_responses_reproduce_rule" in names
+        assert "best_responses_reproduce_rule" in names
 
     def test_gap_small(self, capsys):
         code, out, _ = run(["reproduce", "gap", "--n", "5", "--delta", "0.1"], capsys)
@@ -180,14 +180,14 @@ class TestCheckIc:
         }
         p = tmp_path / "contract.json"
         p.write_text(json.dumps(contract))
-        code, out, _ = run(
-            ["check-ic", "--instance", instance_file, "--contract", str(p), "--grid", "64"],
-            capsys,
-        )
+        code, out, _ = run(["check-ic", "--instance", instance_file, "--contract", str(p)], capsys)
         assert code == 0
         report = json.loads(out)
         assert report["summary"]["passed"] is True
-        assert len(report["grid"]) == 64
+        assert len(report["grid"]) == report["summary"]["checked_types"]
+        # the checkpoints are exact, so there is no grid size to set
+        with pytest.raises(SystemExit):
+            main(["check-ic", "--instance", instance_file, "--contract", str(p), "--grid", "64"])
 
     def test_bad_contract_file(self, instance_file, tmp_path, capsys):
         p = tmp_path / "contract.json"

@@ -147,14 +147,14 @@ class TestMenu:
     def test_profiles_and_rule(self):
         ex = menu(n=8)
         assert menu_size(ex.contract) == 4
-        pieces = menu_induced_pieces(ex.instance, ex.contract, 600)
+        pieces = menu_induced_pieces(ex.instance, ex.contract)
         actions = [p[2] for p in pieces]
         assert actions == list(range(8, -1, -1))
 
     def test_odd_action_count(self):
         ex = menu(n=5, r1=10.0)
         assert menu_size(ex.contract) == 3
-        assert check_menu_ic(ex.instance, ex.contract, 400).passed
+        assert check_menu_ic(ex.instance, ex.contract).passed
 
 
 class TestSmoothed:

@@ -45,11 +45,9 @@ CALLS = {
     "verify_smoothed": (
         ["verify", "--instance", _inp("smoothed.json"), "--theorem", "smooth", "--epsilon", "0.1"], 0),
     "check_ic_menu5": (
-        ["check-ic", "--instance", _inp("menu5_instance.json"), "--contract", _inp("menu5_contract.json"),
-         "--grid", "64"], 0),
+        ["check-ic", "--instance", _inp("menu5_instance.json"), "--contract", _inp("menu5_contract.json")], 0),
     "check_ic_binary": (
-        ["check-ic", "--instance", _inp("binary_instance.json"), "--contract", _inp("binary_contract.json"),
-         "--grid", "64"], 0),
+        ["check-ic", "--instance", _inp("binary_instance.json"), "--contract", _inp("binary_contract.json")], 0),
     "reproduce_gap": (["reproduce", "gap"], 0),
     "reproduce_scaling_uniform": (["reproduce", "scaling_uniform"], 0),
     "reproduce_non_monotone": (["reproduce", "non_monotone"], 0),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -35,13 +36,13 @@ from agency import (
 )
 from agency import incentives
 from agency.allocation import AllocationRule
-from agency.incentives import menu_selection
+from agency.incentives import menu_induced_pieces, menu_selection
 from agency.examples import menu as menu_example
 from agency.examples import non_implementable
 from agency.metrics import integrate_against
 
-from conftest import random_binary_action_instance, random_instance
-from oracles import grid_best_contract, grid_certificate
+from conftest import random_binary_action_instance, random_instance, welfare_top
+from oracles import grid_best_contract, grid_certificate, grid_menu_ic
 
 
 def appx_non_implement():
@@ -132,6 +133,15 @@ class TestCurvature:
         pay = expected_payment_identity(rule, inst, 0.5)
         chk = curvature_check(inst, rule, 0.5, (0.0, 0.0, pay))
         assert chk.consistent and chk.passed
+
+    def test_crossings_match_pairwise_loop(self, rng):
+        for _ in range(50):
+            k = int(rng.integers(1, 12))
+            g = rng.choice([0.0, 0.5, 1.0, 1.7, 2.5], k)  # repeated slopes never cross
+            T = rng.uniform(0.0, 10.0, k)
+            want = [(T[i] - T[j]) / (g[i] - g[j]) for i, j in combinations(range(k), 2) if g[i] != g[j]]
+            got = incentives._crossings(T, g, 0.5, 6.0)
+            assert got.tobytes() == np.asarray([x for x in want if 0.5 < x < 6.0], dtype=float).tobytes()
 
 
 class TestCertificate:
@@ -312,7 +322,7 @@ class TestMenus:
 
     def test_menu_example_is_ic(self):
         ex = menu_example(n=8)
-        rep = check_menu_ic(ex.instance, ex.contract, 500)
+        rep = check_menu_ic(ex.instance, ex.contract)
         assert rep.passed
 
     @staticmethod
@@ -375,6 +385,91 @@ class TestMenus:
         left = integrate_against(dist, lhs, 0.0, 8.0, extra_breaks=rule.breakpoints)
         right = integrate_against(dist, rhs, 0.0, 8.0, extra_breaks=rule.breakpoints) - u_bar
         assert left == pytest.approx(right, rel=1e-6)
+
+
+def _narrow_window_menu():
+    """Two profiles on [0, 10]: the unused one beats the assigned one by
+    1e-5 around c = 3.14159, on a window 4e-5 wide that falls between the
+    points of a 1,000-type grid."""
+    inst = Instance(
+        gammas=(0.0, 1.0, 1.5, 2.0),
+        rewards=(0.0, 1.0, 2.0, 3.0),
+        outcome_probs=tuple(tuple(row) for row in np.eye(4)),
+    )
+    c, t1 = 3.14159, 10.0
+    t3 = t1 + c  # actions 1 and 3 tie at c under the assigned profile
+    t2 = t1 - c + 1e-5 + 1.5 * c  # action 2 pays 1e-5 more utility there
+    m = MenuContract(
+        profiles=(PaymentProfile((0.0, t1, 0.0, t3)), PaymentProfile((0.0, 0.0, t2, 0.0))),
+        breakpoints=(10.0, 0.0),
+        profile_index=(0,),
+    )
+    return inst, m
+
+
+def _random_menu(rng: np.random.Generator) -> tuple[Instance, MenuContract]:
+    """Random payments on random assignment intervals: mostly not IC."""
+    inst = random_instance(rng)
+    hi = 1.3 * welfare_top(inst)
+    k = int(rng.integers(1, 4))
+    profiles = tuple(PaymentProfile(tuple(rng.uniform(0.0, max(inst.rewards), inst.m + 1))) for _ in range(k))
+    cuts = int(rng.integers(0, 4))
+    z = (hi, *np.sort(rng.uniform(0.0, hi, cuts))[::-1].tolist(), 0.0)
+    return inst, MenuContract(profiles, z, tuple(int(i) for i in rng.integers(0, k, cuts + 1)))
+
+
+def _menu_cases():
+    for n in range(2, 10):
+        for r1 in (n + 1.0, 2.0 * n + 2.0, 20.0 + n):
+            ex = menu_example(n=n, r1=r1)
+            yield ex.instance, ex.contract
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        inst = random_binary_action_instance(rng)
+        yield inst, binary_action_optimal(inst, uniform(0.0, 1.0))
+
+
+class TestExactMenuIc:
+    def test_narrow_window_menu_fails(self):
+        inst, m = _narrow_window_menu()
+        assert grid_menu_ic(inst, m).passed  # the window lies between grid types
+        rep = check_menu_ic(inst, m)
+        assert not rep.passed
+        assert rep.worst_selection_gap == pytest.approx(1e-5, rel=1e-6)
+        assert rep.worst_selection_type == pytest.approx(3.14159, abs=1e-12)
+
+    @staticmethod
+    def _assert_dominates_grid(inst, m):
+        exact, grid = check_menu_ic(inst, m), grid_menu_ic(inst, m)
+        assert exact.worst_selection_gap >= grid.worst_selection_gap - 1e-12
+        assert exact.worst_dstar >= grid.worst_dstar - 1e-12
+        assert grid.passed or not exact.passed
+        rows = incentives.menu_curvature_rows(inst, m)
+        assert len(rows) == exact.checked_types
+        assert max(r["dstar"] for r in rows) == exact.worst_dstar
+        return exact
+
+    def test_ic_menus_pass_and_dominate_grid(self):
+        for inst, m in _menu_cases():
+            rep = self._assert_dominates_grid(inst, m)
+            assert rep.passed
+            assert max(rep.worst_selection_gap, rep.worst_dstar) <= 1e-14
+
+    def test_random_menus_dominate_grid(self):
+        rng = np.random.default_rng(12)
+        failed = sum(not self._assert_dominates_grid(*_random_menu(rng)).passed for _ in range(60))
+        assert failed > 30  # most of the 60
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_induced_pieces_are_the_menu_envelope(self, n):
+        ex = menu_example(n=n)
+        pieces = menu_induced_pieces(ex.instance, ex.contract)
+        claimed = sorted([*ex.facts["virtual_breakpoints"], ex.facts["action_breakpoint_top"]])
+        assert [hi for _, hi, _ in pieces[:-1]] == pytest.approx(claimed, rel=0.0, abs=1e-12)
+        assert (pieces[0][0], pieces[-1][1]) == ex.contract.support
+        assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+        for lo, hi, action in pieces:
+            assert menu_selection(ex.instance, ex.contract, 0.5 * (lo + hi))[1] == action
 
 
 class TestBinaryAction:

@@ -52,6 +52,18 @@ def null_only_instance():
 
 
 class TestLinearRevenue:
+    def test_atoms_priced_like_per_share_payments(self, monkeypatch):
+        # the atoms' expected payments for every share keep the bits of one
+        # ``expected_payments`` call per share
+        seen = []
+        monkeypatch.setattr(metrics, "add_atom_revenue", lambda total, inst, dist, T: seen.append(T) or total)
+        al = np.linspace(0.0, 1.0, 2001)
+        for inst, dist in polish_pairs()[48:]:
+            linear_revenue(inst, dist, al)
+            r = inst.reward_array()
+            want = np.array([inst.expected_payments(x * r) for x in al])[:, None, :]
+            assert seen.pop().tobytes() == want.tobytes()
+
     def test_full_giveaway_and_null(self, rng):
         inst = random_instance(rng)
         dist = uniform(0.1, 5.0)
