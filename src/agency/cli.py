@@ -35,7 +35,6 @@ from .incentives import (
     MenuContract,
     certify_non_implementable_at,
     check_menu_ic,
-    menu_curvature_rows,
     menu_induced_pieces,
     menu_revenue,
     menu_size,
@@ -438,7 +437,6 @@ def cmd_check_ic(args) -> int:
     inst, _, _ = load_instance(args.instance)
     contract = load_contract(args.contract)
     rep = check_menu_ic(inst, contract)
-    rows = menu_curvature_rows(inst, contract)
     report = _report(
         "check-ic",
         scan,
@@ -452,7 +450,7 @@ def cmd_check_ic(args) -> int:
             "worst_dstar_anchor": rep.worst_dstar_anchor,
             "checked_types": rep.checked_types,
         },
-        grid=rows,
+        grid=list(rep.rows),
     )
     _emit(report, args.out)
     return EXIT_OK if rep.passed else EXIT_FAIL

@@ -51,13 +51,15 @@ class ConditionReport:
         }
 
 
-def _scan_min(f, lo: float, hi: float, points: int, extras=()) -> tuple[float, float]:
-    """Minimize a piecewise-smooth f over [lo, hi] by scan plus refinement."""
-    xs = np.unique(
-        np.concatenate([np.linspace(lo, hi, points), [e for e in extras if lo <= e <= hi]])
-    )
+def _scan(f, lo: float, hi: float, points: int, extras=()) -> tuple[np.ndarray, np.ndarray]:
+    """``points`` even points of [lo, hi] plus the extras inside it, and f there."""
+    xs = np.unique(np.concatenate([np.linspace(lo, hi, points), [e for e in extras if lo <= e <= hi]]))
     with np.errstate(all="ignore"):
-        vals = np.asarray(f(xs), dtype=float)
+        return xs, np.asarray(f(xs), dtype=float)
+
+
+def _scan_min(f, xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """Minimize a piecewise-smooth f by refinement around the best scanned value."""
     vals = np.where(np.isfinite(vals), vals, np.inf)
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
@@ -76,8 +78,8 @@ def _scan_min(f, lo: float, hi: float, points: int, extras=()) -> tuple[float, f
     return best_x, best_v
 
 
-def _scan_max(f, lo, hi, points, extras=()):
-    x, v = _scan_min(lambda c: -np.asarray(f(c), dtype=float), lo, hi, points, extras)
+def _scan_max(f, xs, vals):
+    x, v = _scan_min(lambda c: -np.asarray(f(c), dtype=float), xs, -vals)
     return x, -v
 
 
@@ -106,7 +108,7 @@ def slowly_increasing_beta(
             return np.where(den > 1e-300, num / den, np.nan)
 
     lo = max(kappa, dist.c_low)
-    x, v = _scan_min(ratio, lo, max(hi_scan, lo + 1e-12), scan_points, _landmarks(dist, alpha))
+    x, v = _scan_min(ratio, *_scan(ratio, lo, max(hi_scan, lo + 1e-12), scan_points, _landmarks(dist, alpha)))
     if not math.isfinite(v):
         v, x = 1.0, lo  # G vanishes on the whole range: vacuous condition
     return ConditionReport(
@@ -140,7 +142,7 @@ def slow_virtual_beta(
 
     lo = max(kappa, dist.c_low)
     hi = float(iv.values[-1])
-    x, v = _scan_min(ratio, lo, max(hi, lo + 1e-12), scan_points, _landmarks(dist, alpha))
+    x, v = _scan_min(ratio, *_scan(ratio, lo, max(hi, lo + 1e-12), scan_points, _landmarks(dist, alpha)))
     if not math.isfinite(v):
         v, x = 1.0, lo
     return ConditionReport(
@@ -179,8 +181,9 @@ def linear_bounded_params(
         with np.errstate(all="ignore"):
             return np.where(vb > 0, c / vb, np.nan)
 
-    x_sup, alpha = _scan_max(ratio, lo, hi, scan_points, _landmarks(dist))
-    x_inf, beta = _scan_min(ratio, lo, hi, scan_points, _landmarks(dist))
+    scan = _scan(ratio, lo, hi, scan_points, _landmarks(dist))  # shared by the sup and the inf
+    x_sup, alpha = _scan_max(ratio, *scan)
+    x_inf, beta = _scan_min(ratio, *scan)
     unbounded = not math.isfinite(dist.c_high)
     return ConditionReport(
         kind="linear-bounded",
@@ -243,7 +246,7 @@ def rhr_bound_alpha_hat(dist: TypeDistribution, scan_points: int = SCAN_POINTS) 
         with np.errstate(all="ignore"):
             return np.where((g > 0) & (c > 0), G / (c * g), np.nan)
 
-    x, v = _scan_min(ratio, lo, hi, scan_points, _landmarks(dist))
+    x, v = _scan_min(ratio, *_scan(ratio, lo, hi, scan_points, _landmarks(dist)))
     grid = np.linspace(lo, hi, 512)
     phi = np.asarray(dist.virtual_cost(grid), dtype=float)
     slack = float(np.min(phi - (1.0 + v) * grid))

@@ -16,7 +16,7 @@ lines cross, so its IC is checked exactly there and at its breakpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -447,6 +447,8 @@ class MenuIcReport:
     worst_dstar_anchor: float
     checked_types: int
     passed: bool
+    #: The rows of :func:`menu_curvature_rows`, D* at every checkpoint.
+    rows: tuple[dict, ...] = field(repr=False, compare=False)
 
 
 def _menu_columns(instance: Instance, contract: MenuContract) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -510,15 +512,14 @@ def check_menu_ic(instance: Instance, contract: MenuContract, *, tol: float = CU
         worst_dstar_anchor=float(types[worst_k]),
         checked_types=len(types),
         passed=bool(gap[worst_gap_k] <= tol and dstar[worst_k] <= tol),
+        rows=tuple({"type": c, "dstar": d, "passed": d <= tol} for c, d in zip(types.tolist(), dstar.tolist())),
     )
 
 
 def menu_curvature_rows(instance: Instance, contract: MenuContract, *, tol: float = CURVATURE_TOL) -> list[dict]:
     """D* at each of :func:`check_menu_ic`'s checkpoints, the worse of
     both sides at a breakpoint."""
-    types, sides = _menu_checkpoints(instance, contract)
-    dstar = _menu_dstar(instance, contract, types, sides).max(axis=0)
-    return [{"type": float(c), "dstar": float(d), "passed": bool(d <= tol)} for c, d in zip(types, dstar)]
+    return list(check_menu_ic(instance, contract, tol=tol).rows)
 
 
 def menu_selection(instance: Instance, contract: MenuContract, c: float) -> tuple[int, int]:

@@ -627,9 +627,21 @@ class IronedVirtualCost:
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Indices of the lower convex hull vertices via a monotone chain."""
+    """Indices of the lower convex hull vertices via a monotone chain. Runs
+    of strict left turns on the stack top, found in one array pass, are
+    pushed in bulk; the interpreter visits only the points where it can pop."""
+    turn = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
+    stops = [*(np.flatnonzero(turn <= 0) + 2).tolist(), len(x)]
+    x, y = memoryview(x), memoryview(y)  # each read is a Python float; no list of every point
     hull: list[int] = []
-    for i in range(len(x)):
+    i = k = 0
+    while i < len(x):
+        while stops[k] < i:
+            k += 1
+        if len(hull) >= 2 and hull[-2] == i - 2 and i < stops[k]:
+            hull.extend(range(i, stops[k]))
+            i = stops[k]
+            continue
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
@@ -638,6 +650,7 @@ def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
             else:
                 break
         hull.append(i)
+        i += 1
     return hull
 
 
@@ -648,11 +661,12 @@ def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCos
     quadrature: ``∫_{c_low}^c φ dG = c G(c)``. On a uniform grid over the
     range that carries mass, refined with the density kinks, the ironed
     virtual cost is the slope of the lower convex hull of the points
-    ``(G(c_i), c_i G(c_i))``. A hull edge that skips grid points is a flat
-    at the edge's slope; at the hull's vertices the raw virtual cost is
-    kept. A zero-density gap is a single quantile, which the hull bridges
-    with a flat. When the chord slopes already increase, the virtual cost
-    is non-decreasing and is followed pointwise.
+    ``(G(c_i), c_i G(c_i))``, whose chain the interpreter visits only where
+    it can pop. A hull edge that skips grid points is a flat at the edge's
+    slope (all flats are built in one array pass); at the hull's vertices
+    the raw virtual cost is kept. A zero-density gap is a single quantile,
+    which the hull bridges with a flat. When the chord slopes already
+    increase, the virtual cost is non-decreasing and is followed pointwise.
     """
     if dist.has_atoms:
         raise AtomPresentError("ironing requires an atom-free distribution")
@@ -677,12 +691,11 @@ def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCos
         values = np.asarray(dist.virtual_cost(grid, side="auto"), dtype=float)
         return IronedVirtualCost(grid=grid, values=values, flats=(), dist=dist)
 
-    hull = _lower_hull(G, cG)
-    flats = tuple(
-        (float(grid[a]), float(grid[b]), float((cG[b] - cG[a]) / (G[b] - G[a])))
-        for a, b in zip(hull[:-1], hull[1:])
-        if b > a + 1 and G[b] > G[a]
-    )
+    hull = np.asarray(_lower_hull(G, cG))
+    a, b = hull[:-1], hull[1:]
+    flat = (b > a + 1) & (G[b] > G[a])
+    a, b = a[flat], b[flat]
+    flats = tuple(zip(grid[a].tolist(), grid[b].tolist(), ((cG[b] - cG[a]) / (G[b] - G[a])).tolist()))
     iv = IronedVirtualCost(grid=grid, values=grid, flats=flats, dist=dist)  # values set next
     return replace(iv, values=np.maximum.accumulate(iv.value(grid)))
 

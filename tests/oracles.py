@@ -11,6 +11,11 @@ so they are at least the grid's.
 Sequential searches, one step per call: the bisection behind
 ``IronedVirtualCost.inverse`` and the golden-section polish of
 ``best_linear``. The batched searches must return the same bits.
+
+The lower convex hull behind ``iron`` as a plain monotone chain that visits
+every point, and the flats built from it pair by pair: the chain that pushes
+runs of left turns in bulk, and the flats built in one array pass, must
+return the same indices and the same tuples.
 """
 
 from __future__ import annotations
@@ -237,6 +242,7 @@ def grid_menu_ic(
         worst_dstar_anchor=float(grid[worst_k]),
         checked_types=len(grid),
         passed=bool(gap[worst_gap_k] <= tol and dstar[worst_k] <= tol),
+        rows=tuple({"type": float(c), "dstar": float(d), "passed": bool(d <= tol)} for c, d in zip(grid, dstar)),
     )
 
 
@@ -287,3 +293,28 @@ def golden_section_one_step_per_call(f, lo: float, hi: float, tol: float = 1e-12
         if v > best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def monotone_chain_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """Indices of the lower convex hull vertices via a monotone chain."""
+    hull: list[int] = []
+    for i in range(len(x)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
+            if cross <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def hull_flats(grid: np.ndarray, G: np.ndarray, cG: np.ndarray, hull: list[int]) -> tuple:
+    """``(lo, hi, level)`` of every hull edge that skips grid points and
+    carries mass, one edge at a time."""
+    return tuple(
+        (float(grid[a]), float(grid[b]), float((cG[b] - cG[a]) / (G[b] - G[a])))
+        for a, b in zip(hull[:-1], hull[1:])
+        if b > a + 1 and G[b] > G[a]
+    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from agency import incentives
 from agency.cli import main
 
 
@@ -172,7 +173,11 @@ class TestReproduce:
 
 
 class TestCheckIc:
-    def test_linear_contract_passes(self, instance_file, tmp_path, capsys):
+    def test_linear_contract_passes(self, instance_file, tmp_path, capsys, monkeypatch):
+        # the summary and the rows come from one evaluation of D*
+        dstar_calls = []
+        menu_dstar = incentives._menu_dstar
+        monkeypatch.setattr(incentives, "_menu_dstar", lambda *a: dstar_calls.append(1) or menu_dstar(*a))
         contract = {
             "profiles": [[0.0, 50.0, 150.0]],
             "assignment": {"breakpoints": [80.0, 0.0], "profile_index": [0]},
@@ -185,6 +190,7 @@ class TestCheckIc:
         report = json.loads(out)
         assert report["summary"]["passed"] is True
         assert len(report["grid"]) == report["summary"]["checked_types"]
+        assert len(dstar_calls) == 1
         # the checkpoints are exact, so there is no grid size to set
         with pytest.raises(SystemExit):
             main(["check-ic", "--instance", instance_file, "--contract", str(p), "--grid", "64"])

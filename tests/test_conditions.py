@@ -6,6 +6,7 @@ import pytest
 from agency import (
     AtomPresentError,
     Instance,
+    IronedVirtualCost,
     exponential,
     iron,
     linear_bounded_params,
@@ -109,6 +110,14 @@ class TestLinearBounded:
         for k in (2.0, 3.0):
             rep = linear_bounded_params(dist, kappa=k * 1.0)
             assert rep.value <= k / (2 * k - 1) + 1e-9
+
+    def test_sup_and_inf_share_one_scan(self, monkeypatch):
+        # one pass over the scan points; each refinement call prices 65
+        dist = piecewise([(0, 5, 0.1), (5, 6, 0.5)])
+        iv, sizes, value = iron(dist), [], IronedVirtualCost.value
+        monkeypatch.setattr(IronedVirtualCost, "value", lambda self, c: sizes.append(np.size(c)) or value(self, c))
+        linear_bounded_params(dist, iv, scan_points=512)
+        assert sum(n >= 512 for n in sizes) == 1
 
     def test_sandwich_property(self):
         for dist in (uniform(0, 4), truncated_normal(0.5, 1.5, 0.0)):

@@ -5,28 +5,33 @@ two overlapping uniform bumps, and two uniform bumps with a zero-density
 gap between them. On each, ironing must preserve the integrated virtual
 cost ``∫ φ dG = c G(c)`` flat by flat and over the whole support, and the
 optimal virtual welfare must upper-bound the revenue of IC contracts: the
-best linear one and, with two actions, the optimal menu.
+best linear one and, with two actions, the optimal menu. The hull and its
+flats must equal those of the plain monotone chain in ``oracles.py``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agency import (
     best_linear,
     binary_action_optimal,
+    exponential,
     iron,
     menu_revenue,
     mixture,
     piecewise,
+    truncated_normal,
     uniform,
     virtual_welfare,
 )
 from agency.conditions import VERDICT_TOL
 from agency.metrics import _phibar_mass_integral
+from agency.typedist import _lower_hull
 
-from conftest import random_binary_action_instance, random_instance, welfare_top
+from conftest import battery, random_binary_action_instance, random_instance, welfare_top
+from oracles import hull_flats, monotone_chain_hull
 
 FAMILIES = ("step_up", "bumps", "gapped_bumps")
 shares = st.floats(0.0, 1.0)
@@ -150,3 +155,88 @@ def test_zero_density_at_a_support_end(segments):
     for seed in range(3):
         inst, _ = scaled(seed, binary=False)
         _assert_upper_bound(virtual_welfare(inst, dist), best_linear(inst, dist)[1])
+
+
+#: Densities whose virtual cost dips, so ``iron`` takes the hull: the two
+#: canonical examples above, a two-bump mixture and a step up at 1.
+HULL_DISTS = {
+    "step_up": piecewise([(0, 5, 0.1), (5, 6, 0.5)]),
+    "gapped": mixture([(0.4, uniform(0, 3)), (0.6, uniform(5, 9))]),
+    "two_bump": mixture([(0.4, uniform(0, 3)), (0.6, uniform(2, 5))]),
+    "step_up_at_1": piecewise([(0, 1, 0.2), (1, 2, 0.8)]),
+}
+
+#: Regular densities, whose chord slopes already increase: ``iron`` skips
+#: the hull, but their points are long convex runs for it.
+REGULAR_DISTS = {
+    "uniform": uniform(0, 2),
+    "exponential": exponential(1.0),
+    "truncated_normal": truncated_normal(1, 2, 0),
+    "counterexample": piecewise([(0, 1, 20 / 23), (1, 4, 0.025 * 20 / 23), (4, 10, 0.0125 * 20 / 23)]),
+    "zero_density_low_end": piecewise([(0, 1, 0), (1, 2, 1)]),
+    "zero_density_high_end": piecewise([(0, 1, 1), (1, 2, 0)]),
+    **{f"battery_{k}": dist for k, (_, dist) in enumerate(battery(0, 8))},
+}
+
+
+def assert_hull_matches_oracle(dist, flats: bool) -> None:
+    """The hull of ``iron(dist)``'s points ``(G, c G)`` is the plain chain's,
+    and with ``flats`` so are its flats, tuple for tuple."""
+    iv = iron(dist)
+    G = np.asarray(dist.cdf(iv.grid), dtype=float)
+    cG = iv.grid * G
+    hull = monotone_chain_hull(G, cG)
+    assert _lower_hull(G, cG) == hull
+    if flats:
+        assert iv.flats and iv.flats == hull_flats(iv.grid, G, cG, hull)
+
+
+@pytest.mark.parametrize("name", HULL_DISTS)
+def test_hull_and_flats_match_the_monotone_chain(name):
+    assert_hull_matches_oracle(HULL_DISTS[name], flats=True)
+
+
+@pytest.mark.parametrize("name", REGULAR_DISTS)
+def test_hull_matches_the_monotone_chain_on_regular_points(name):
+    assert_hull_matches_oracle(REGULAR_DISTS[name], flats=False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), hi=st.floats(1.0, 20.0))
+def test_hull_and_flats_match_the_monotone_chain_on_the_families(data, hi):
+    assert_hull_matches_oracle(data.draw(nonregular(hi)), flats=True)
+
+
+@st.composite
+def chains(draw):
+    """Points sorted by x from runs of convex, concave and collinear steps
+    on an integer lattice, and vertical steps (repeated x, as a zero-density
+    gap gives); scaled by 0.1 or 1/3, collinear turns round to either sign."""
+    x, y, slope = [0], [0], 0
+    for kind in draw(st.lists(st.sampled_from(("convex", "concave", "line", "vertical")), min_size=1, max_size=8)):
+        for _ in range(draw(st.integers(1, 6))):
+            if kind == "vertical":
+                x.append(x[-1])
+                y.append(y[-1] + draw(st.integers(0, 3)))
+                continue
+            slope += {"convex": 1, "concave": -1, "line": 0}[kind] * draw(st.integers(1, 3))
+            dx = draw(st.integers(1, 3))
+            x.append(x[-1] + dx)
+            y.append(y[-1] + slope * dx)
+    scale = draw(st.sampled_from((1.0, 0.1, 1.0 / 3.0)))
+    return np.asarray(x, dtype=float) * scale, np.asarray(y, dtype=float) * scale
+
+
+def _points(*xy):
+    return tuple(np.asarray(v, dtype=float) for v in zip(*xy))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(points=chains())
+@example(points=_points((0, 0), (1, 1)))
+@example(points=_points((0, 0), (1, 1), (2, 2)))
+@example(points=_points((0, 0), (1, 1), (2, 0)))
+@example(points=_points((0, 0), (1, 0), (2, 1)))
+@example(points=_points((0, 0), (0, 1), (1, 1)))
+def test_lower_hull_matches_the_monotone_chain(points):
+    assert _lower_hull(*points) == monotone_chain_hull(*points)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
+import agency
 from agency import (
     AtomPresentError,
     DistributionError,
@@ -27,6 +28,15 @@ from agency import (
 )
 
 from oracles import bisect_one_round_per_call
+
+
+def run_probe(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this ``agency``:
+    pytest's own ``pythonpath`` setting does not reach a child process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(agency.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def non_implement_dist():
@@ -133,7 +143,7 @@ class TestTruncatedNormal:
 
     def test_scipy_imported_lazily(self):
         probe = "import sys, agency.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        out = run_probe(probe)
         assert out.stdout.strip() == "False"
 
     def test_library_commands_leave_scipy_optimize_unimported(self):
@@ -147,7 +157,7 @@ class TestTruncatedNormal:
             f"    assert main(['analyze', '--instance', {inst!r}]) == 0\n"
             "print('scipy.optimize' in sys.modules)"
         )
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        out = run_probe(probe)
         assert out.stdout.strip() == "False"
 
 
