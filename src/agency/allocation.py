@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, PaymentProfile, as_payments
+from .instance import Instance, PaymentProfile, as_payments, kept
 from .typedist import IronedVirtualCost
 
 #: Crossings closer than this (in cost) are merged into one breakpoint.
@@ -154,7 +154,11 @@ def virtual_rule(
 ) -> AllocationRule:
     """Virtual-welfare-maximizing rule: welfare argmax composed with the
     ironed virtual cost; breakpoints are inverse images of the welfare
-    breakpoints."""
+    breakpoints. Kept on ``instance`` per ``iv`` and support (see ``instance.kept``)."""
+    return kept(_virtual_rule, instance, (iv,), support=support)
+
+
+def _virtual_rule(instance: Instance, iv: IronedVirtualCost, support: tuple[float, float] | None) -> AllocationRule:
     lo, hi = support if support is not None else (iv.c_low, iv.c_high)
     q_lo, q_hi = iv.value(np.asarray([lo, hi], dtype=float)).tolist()
     if not q_lo < q_hi:

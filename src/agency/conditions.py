@@ -10,11 +10,11 @@ whether the guaranteed inequality holds on the concrete instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .instance import Instance, best_response
+from .instance import Instance, best_response, kept, reject_nan
 from .metrics import best_linear, linear_revenue, virtual_welfare, welfare
 from .typedist import (
     AtomPresentError,
@@ -91,6 +91,32 @@ def _landmarks(dist: TypeDistribution, alpha: float = 1.0) -> list[float]:
     return pts
 
 
+def _slow_beta(kind: str, dist: TypeDistribution, upper, alpha: float, kappa: float, hi: float,
+               scan_points: int) -> ConditionReport:
+    """Largest beta with ``G(alpha c) >= beta G(upper(c))`` for all scanned
+    c in [kappa, hi]; a NaN alpha or kappa raises ``ValueError``."""
+    reject_nan(alpha=alpha, kappa=kappa)
+
+    def ratio(c):
+        c = np.asarray(c, dtype=float)
+        den = np.asarray(dist.cdf(upper(c)), dtype=float)
+        num = np.asarray(dist.cdf(alpha * c), dtype=float)
+        with np.errstate(all="ignore"):
+            return np.where(den > 1e-300, num / den, np.nan)
+
+    lo = max(kappa, dist.c_low)
+    x, v = _scan_min(ratio, *_scan(ratio, lo, max(hi, lo + 1e-12), scan_points, _landmarks(dist, alpha)))
+    if not math.isfinite(v):
+        v, x = 1.0, lo  # G vanishes on the whole range: vacuous condition
+    return ConditionReport(
+        kind=kind,
+        value=float(min(v, 1.0)),
+        witness=x,
+        params={"alpha": alpha, "kappa": kappa},
+        scan_points=scan_points,
+    )
+
+
 def slowly_increasing_beta(
     dist: TypeDistribution, alpha: float, kappa: float, scan_points: int = SCAN_POINTS
 ) -> ConditionReport:
@@ -99,25 +125,7 @@ def slowly_increasing_beta(
         raise ValueError("alpha must lie in (0, 1]")
     hi = dist.effective_high()
     hi_scan = hi / alpha if alpha < 1.0 else hi
-
-    def ratio(c):
-        c = np.asarray(c, dtype=float)
-        den = np.asarray(dist.cdf(c), dtype=float)
-        num = np.asarray(dist.cdf(alpha * c), dtype=float)
-        with np.errstate(all="ignore"):
-            return np.where(den > 1e-300, num / den, np.nan)
-
-    lo = max(kappa, dist.c_low)
-    x, v = _scan_min(ratio, *_scan(ratio, lo, max(hi_scan, lo + 1e-12), scan_points, _landmarks(dist, alpha)))
-    if not math.isfinite(v):
-        v, x = 1.0, lo  # G vanishes on the whole range: vacuous condition
-    return ConditionReport(
-        kind="slowly-increasing",
-        value=float(min(v, 1.0)),
-        witness=x,
-        params={"alpha": alpha, "kappa": kappa},
-        scan_points=scan_points,
-    )
+    return _slow_beta("slowly-increasing", dist, lambda c: c, alpha, kappa, hi_scan, scan_points)
 
 
 def slow_virtual_beta(
@@ -130,28 +138,8 @@ def slow_virtual_beta(
     """Largest beta with ``G(alpha c) >= beta G(inverse_ironed(c))`` from kappa up."""
     if dist.has_atoms:
         raise AtomPresentError("slow-virtual condition requires an atom-free distribution")
-    if iv is None:
-        iv = ironed(dist)
-
-    def ratio(c):
-        c = np.asarray(c, dtype=float)
-        den = np.asarray(dist.cdf(iv.inverse(c)), dtype=float)
-        num = np.asarray(dist.cdf(alpha * c), dtype=float)
-        with np.errstate(all="ignore"):
-            return np.where(den > 1e-300, num / den, np.nan)
-
-    lo = max(kappa, dist.c_low)
-    hi = float(iv.values[-1])
-    x, v = _scan_min(ratio, *_scan(ratio, lo, max(hi, lo + 1e-12), scan_points, _landmarks(dist, alpha)))
-    if not math.isfinite(v):
-        v, x = 1.0, lo
-    return ConditionReport(
-        kind="slow-virtual",
-        value=float(min(v, 1.0)),
-        witness=x,
-        params={"alpha": alpha, "kappa": kappa},
-        scan_points=scan_points,
-    )
+    iv = ironed(dist) if iv is None else iv
+    return _slow_beta("slow-virtual", dist, iv.inverse, alpha, kappa, float(iv.values[-1]), scan_points)
 
 
 def linear_bounded_params(
@@ -164,12 +152,16 @@ def linear_bounded_params(
 
     Measured as the sup and inf of ``c / ironed(c)``; the value field holds
     alpha, params carry both. On unbounded supports beta is only valid up
-    to the scan truncation, which is flagged.
+    to the scan truncation, which is flagged. Kept on ``iv`` per ``dist``,
+    kappa and scan size (``instance.kept``); each call owns its ``params``.
     """
     if dist.has_atoms:
         raise AtomPresentError("linear boundedness requires an atom-free distribution")
-    if iv is None:
-        iv = ironed(dist)
+    rep = kept(_linear_bounded, ironed(dist) if iv is None else iv, (dist,), kappa=kappa, scan_points=scan_points)
+    return replace(rep, params=dict(rep.params))
+
+
+def _linear_bounded(iv: IronedVirtualCost, dist: TypeDistribution, kappa: float, scan_points: int) -> ConditionReport:
     lo = max(kappa, dist.c_low)
     hi = iv.c_high
     if lo <= 0.0:
@@ -207,6 +199,7 @@ def small_tail_eta(
     kind: str = "cost",
 ) -> ConditionReport:
     """Fraction of the (virtual) welfare contributed by types above kappa."""
+    reject_nan(kappa=kappa)
     if kind == "cost":
         full = welfare(instance, dist)
         tail = welfare(instance, dist, (kappa, math.inf))

@@ -11,6 +11,7 @@ resolved with an explicit absolute tolerance.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -145,6 +146,31 @@ class Instance:
     def expected_payments(self, t: PaymentProfile | Sequence[float] | np.ndarray) -> np.ndarray:
         """Expected payment per action for the payment profile ``t``."""
         return self.prob_matrix() @ as_payments(t)
+
+
+def reject_nan(**args) -> None:
+    """Raise ``ValueError`` naming the first argument that is or holds a NaN."""
+    for name, value in args.items():
+        if value is not None and np.isnan(value).any():
+            raise ValueError(f"{name} must not be nan")
+
+
+def kept(f, owner, partners: tuple, **key):
+    """``f(owner, *partners, **key)``, kept on ``owner`` per ``f`` and ``key``.
+
+    Keys compare by type and bits (``0``, ``0.0`` and ``-0.0`` differ), and
+    a NaN key raises through :func:`reject_nan`. Each ``f`` has one slot on
+    ``owner``; it holds the ``partners`` of its last call, so their ids are
+    not reused while it lives, and other partners start it afresh.
+    """
+    reject_nan(**key)
+    slot = owner.__dict__.setdefault("_kept", {}).get(f)
+    if slot is None or any(a is not b for a, b in zip(slot[0], partners)):
+        slot = owner.__dict__["_kept"][f] = (partners, {})
+    bits = pickle.dumps(key)
+    if bits not in slot[1]:
+        slot[1][bits] = f(owner, *partners, **key)
+    return slot[1][bits]
 
 
 def validate(instance: Instance) -> list[str]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import AllocationRule, envelope_rule, virtual_rule
-from .instance import Instance, best_responses
+from .instance import Instance, best_responses, kept
 from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, ironed
 
 SIMPSON_PANELS = 256
@@ -80,7 +80,12 @@ def welfare(
     dist: TypeDistribution,
     interval: tuple[float, float] | None = None,
 ) -> float:
-    """Expected first-best welfare from types in ``interval`` (default all)."""
+    """Expected first-best welfare from types in ``interval`` (default all),
+    kept on ``instance`` per ``dist`` and interval (see ``instance.kept``)."""
+    return kept(_welfare, instance, (dist,), interval=interval)
+
+
+def _welfare(instance: Instance, dist: TypeDistribution, interval: tuple[float, float] | None) -> float:
     rule = welfare_rule(instance, dist)
     lo, hi = interval if interval is not None else rule.support
     lo = max(lo, rule.support[0])
@@ -237,12 +242,15 @@ def virtual_welfare(
     Breakpoint closed form: summing interval masses of the virtual-welfare
     rule reproduces the telescoped breakpoint sums, including the boundary
     correction when the interval starts strictly inside an action's range.
-    Every CDF value comes from one ``dist.cdf`` call.
+    Every CDF value comes from one ``dist.cdf`` call. Kept on ``instance``
+    per ``dist``, ``iv`` and interval (see ``instance.kept``).
     """
     if dist.has_atoms:
         raise AtomPresentError("virtual welfare requires an atom-free distribution")
-    if iv is None:
-        iv = ironed(dist)
+    return kept(_virtual_welfare, instance, (dist, ironed(dist) if iv is None else iv), interval=interval)
+
+
+def _virtual_welfare(instance: Instance, dist: TypeDistribution, iv: IronedVirtualCost, interval) -> float:
     rule = virtual_rule(instance, iv)
     lo, hi = interval if interval is not None else (iv.c_low, iv.c_high)
     lo = max(lo, iv.c_low)

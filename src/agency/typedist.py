@@ -203,31 +203,29 @@ class PiecewisePart:
         if abs(total - 1.0) > 1e-9:
             raise DistributionError(f"piecewise density integrates to {total:g}, expected 1")
 
-    def _cum(self) -> np.ndarray:
-        b = np.asarray(self.bounds)
-        d = np.asarray(self.densities)
-        return np.concatenate([[0.0], np.cumsum(d * np.diff(b))])
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # bounds, densities, mass below each bound
+        b, d = np.asarray(self.bounds), np.asarray(self.densities)
+        return b, d, np.concatenate([[0.0], np.cumsum(d * np.diff(b))])
 
     def support(self) -> tuple[float, float]:
         return self.bounds[0], self.bounds[-1]
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        b = np.asarray(self.bounds)
-        cum = self._cum()
+        b, d, cum = self._arrays
         xc = np.clip(x, b[0], b[-1])
         idx = np.clip(np.searchsorted(b, xc, side="right") - 1, 0, len(self.densities) - 1)
-        val = cum[idx] + np.asarray(self.densities)[idx] * (xc - b[idx])
+        val = cum[idx] + d[idx] * (xc - b[idx])
         return np.clip(val, 0.0, 1.0)
 
     def pdf(self, x: np.ndarray, side: str) -> np.ndarray:
-        b = np.asarray(self.bounds)
-        d = np.asarray(self.densities)
+        b, d, _ = self._arrays
         idx = np.searchsorted(b, x, side="right" if side == "right" else "left") - 1
         ok = (idx >= 0) & (idx < len(d))
         return np.where(ok, d[np.clip(idx, 0, len(d) - 1)], 0.0)
 
     def quantile(self, q: float) -> float:
-        cum = self._cum()
+        cum = self._arrays[2]
         k = int(np.searchsorted(cum, q, side="left"))
         k = min(max(k - 1, 0), len(self.densities) - 1)
         while k < len(self.densities) - 1 and cum[k + 1] < q:

@@ -1,4 +1,9 @@
+import gc
+import json
 import math
+import os
+import random
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +13,9 @@ from agency import (
     Instance,
     IronedVirtualCost,
     exponential,
+    from_spec,
     iron,
+    ironed,
     linear_bounded_params,
     mixture,
     piecewise,
@@ -18,6 +25,7 @@ from agency import (
     slowly_increasing_beta,
     small_tail_eta,
     smoothed_point_mass,
+    to_spec,
     truncated_normal,
     uniform,
     verify,
@@ -229,3 +237,125 @@ class TestVerify:
         inst = random_instance(rng)
         with pytest.raises(ValueError, match="unknown theorem"):
             verify(inst, uniform(0, 1), "fermat")
+
+
+# ---------------------------------------------------------------------------
+# results kept on the objects of a pair
+
+LIBRARY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "library_pairs.json")
+VARIANTS = ("uniform", "exponential", "truncated_normal", "non_increasing")
+
+
+def verdict_jobs():
+    """Instance and distribution specs of the 48 library pairs and a conftest
+    battery, and every verdict to run on them as ``(pair, theorem, kwargs)``."""
+    with open(LIBRARY, encoding="utf-8") as fh:
+        library = json.load(fh)
+    specs = [(p["instance"], p["dist"]) for p in library]
+    jobs = [(k, th, kw) for k, p in enumerate(library) for th, kw in sorted(p["verify"].items())]
+    for k, (inst, dist) in enumerate(battery(23, 8)):
+        specs.append(pair_spec(inst, dist))
+        jobs += [(len(specs) - 1, th, {}) for th in
+                 ("universal", "slow", "lin_bounded_1", "lin_bounded_2", "upper_n", "wel_implications")]
+        jobs.append((len(specs) - 1, "rev_implications", {"variant": VARIANTS[k % 4]}))
+    return specs, jobs
+
+
+def pair_spec(inst, dist):
+    return {"gammas": inst.gammas, "rewards": inst.rewards, "outcome_probs": inst.outcome_probs}, to_spec(dist)
+
+
+def fresh_pair(spec):
+    return Instance(**spec[0]), from_spec(spec[1])
+
+
+def verdict_text(pair, theorem, kwargs) -> str:
+    # JSON keeps every float's repr, so equal text means equal bits
+    return json.dumps(verify(*pair, theorem, **kwargs).to_dict(), sort_keys=True)
+
+
+#: entry point -> [(argument named in the error, a call with a NaN there)]
+NAN_CALLS = {
+    "welfare": [("interval", lambda inst, dist: welfare(inst, dist, (math.nan, math.inf)))],
+    "virtual_welfare": [("interval", lambda inst, dist: virtual_welfare(inst, dist, (0.0, math.nan)))],
+    "small_tail_eta": [("kappa", lambda inst, dist: small_tail_eta(inst, dist, math.nan, "cost")),
+                       ("kappa", lambda inst, dist: small_tail_eta(inst, dist, math.nan, "virtual"))],
+    "linear_bounded_params": [("kappa", lambda inst, dist: linear_bounded_params(dist, None, math.nan))],
+    "slowly_increasing_beta": [("kappa", lambda inst, dist: slowly_increasing_beta(dist, 0.5, math.nan))],
+    "slow_virtual_beta": [("alpha", lambda inst, dist: slow_virtual_beta(dist, None, math.nan, 0.0)),
+                          ("kappa", lambda inst, dist: slow_virtual_beta(dist, None, 0.5, math.nan))],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_CALLS))
+def test_nan_argument_raises_naming_it(entry):
+    inst, dist = battery(1, 1)[0]
+    for name, call in NAN_CALLS[entry]:
+        with pytest.raises(ValueError, match=f"^{name} must not be nan$"):
+            call(inst, dist)
+
+
+class TestKeptResults:
+    def test_verdicts_do_not_depend_on_call_order(self):
+        # each verdict on objects shared by every verdict, in three orders,
+        # matches the verdict on fresh objects with a cleared ironing cache
+        specs, jobs = verdict_jobs()
+        want = []
+        for k, theorem, kwargs in jobs:
+            ironed.cache_clear()
+            want.append(verdict_text(fresh_pair(specs[k]), theorem, kwargs))
+        shuffled = list(range(len(jobs)))
+        random.Random(12).shuffle(shuffled)
+        for order in (range(len(jobs)), range(len(jobs) - 1, -1, -1), shuffled):
+            ironed.cache_clear()
+            pairs = [fresh_pair(spec) for spec in specs]
+            for j in order:
+                k, theorem, kwargs = jobs[j]
+                assert verdict_text(pairs[k], theorem, kwargs) == want[j], (k, theorem)
+
+    def test_repeated_verdict_makes_no_bisection_and_no_scan(self, monkeypatch):
+        bisect, value = IronedVirtualCost._bisect, IronedVirtualCost.value
+        for k, (inst, dist) in enumerate(battery(24, 4)):
+            kwargs = {"lin_bounded_1": {}, "lin_bounded_2": {}, "upper_n": {},
+                      "rev_implications": {"variant": VARIANTS[k]}}
+            for theorem, kw in kwargs.items():
+                ironed.cache_clear()
+                pair = fresh_pair(pair_spec(inst, dist))
+                first = verdict_text(pair, theorem, kw)
+                bisections, sizes = [], []
+                monkeypatch.setattr(IronedVirtualCost, "_bisect", lambda iv, q: bisections.append(q) or bisect(iv, q))
+                monkeypatch.setattr(IronedVirtualCost, "value", lambda iv, c: sizes.append(np.size(c)) or value(iv, c))
+                assert verdict_text(pair, theorem, kw) == first
+                monkeypatch.undo()
+                assert bisections == [] and max(sizes, default=1) <= 1, (theorem, sizes)
+
+    def test_kappa_echoed_with_its_own_type_and_sign(self):
+        inst, dist = battery(25, 1)[0]
+        for kappa in (0, 0.0, -0.0, 0, -0.0, 0.0):
+            for params in (linear_bounded_params(dist, None, kappa).params,
+                           verify(inst, dist, "lin_bounded_1", kappa=kappa).params):
+                got = params["kappa"]
+                assert type(got) is type(kappa) and math.copysign(1.0, got) == math.copysign(1.0, kappa)
+
+    def test_returned_params_are_the_callers_own(self):
+        dist = exponential(1.0)
+        iv = iron(dist)
+        rep = linear_bounded_params(dist, iv)
+        want = rep.to_dict()
+        rep.params["alpha"] = 99.0
+        assert linear_bounded_params(dist, iv).to_dict() == want
+        linear_bounded_params(dist, iv).params.clear()
+        assert linear_bounded_params(dist, iv).to_dict() == want
+
+    def test_slot_keeps_only_its_last_partners(self):
+        # a loop over fresh distributions leaves the instance holding the last
+        inst = battery(26, 1)[0][0]
+        dists = [uniform(0.0, 5.0 + k) for k in range(3)]
+        refs = [weakref.ref(d) for d in dists]
+        for d in dists:
+            fresh = Instance(inst.gammas, inst.rewards, inst.outcome_probs)
+            want = (welfare(fresh, d), virtual_welfare(fresh, d, iv=iron(d)))
+            assert (welfare(inst, d), virtual_welfare(inst, d, iv=iron(d))) == want
+        del dists, d
+        gc.collect()
+        assert [r() is None for r in refs] == [True, True, False]

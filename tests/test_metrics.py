@@ -223,13 +223,15 @@ class TestVirtualWelfare:
             assert rev == pytest.approx(vwel, rel=1e-6)
 
     def test_one_cdf_call(self, monkeypatch):
-        # the rule's interval ends and the flat ends go to one array call
+        # the rule's interval ends and the flat ends go to one array call;
+        # the expected values come from a second ironed object, so the
+        # counted calls run on one that has kept no virtual welfare
         d = 20.0 / 23.0
         pairs = battery(13, 3) + [(battery(13, 1)[0][0], piecewise([(0, 1, d), (1, 4, 0.025 * d), (4, 10, 0.0125 * d)]))]
         for inst, dist in pairs:
-            iv = iron(dist)
+            iv, other = iron(dist), iron(dist)
             rule = virtual_rule(inst, iv)
-            expected = (virtual_welfare(inst, dist, iv=iv), virtual_welfare(inst, dist, (1.0, math.inf), iv=iv))
+            expected = (virtual_welfare(inst, dist, iv=other), virtual_welfare(inst, dist, (1.0, math.inf), iv=other))
             calls = []
             cdf = TypeDistribution.cdf
             monkeypatch.setattr(metrics, "virtual_rule", lambda *_: rule)

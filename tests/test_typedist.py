@@ -92,6 +92,15 @@ class TestCdf:
         assert u.cdf(0.0) == 0.0
         assert u.cdf(5.0) == 1.0
 
+    def test_piecewise_arrays_built_once(self, monkeypatch):
+        # the bounds, densities and cumulative masses are kept on the part
+        part = piecewise([(0, 1, 0.5), (1, 2, 0.3), (2, 3, 0.2)]).parts[0][1]
+        calls, cumsum = [], np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+        for _ in range(3):
+            part.cdf(np.asarray([0.5, 2.5])), part.pdf(np.asarray([0.5]), "right"), part.quantile(0.7)
+        assert len(calls) == 1
+
     def test_numeric_cdf_matches_density_integral(self):
         for dist in (uniform(0.5, 3), exponential(0.7), truncated_normal(1, 2, 0),
                      non_implement_dist()):
