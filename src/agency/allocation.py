@@ -133,6 +133,15 @@ def _envelope_rule_from_lines(
     return AllocationRule(breakpoints=tuple(breakpoints), actions=tuple(actions))
 
 
+def _welfare_breakpoint_candidates(instance: Instance) -> list[float]:
+    """All pairwise welfare crossings (a superset of the true breakpoints)."""
+    R, g = instance.expected_reward_array(), instance.gamma_array()
+    i, j = np.triu_indices(len(R), 1)
+    i, j = i[g[j] > g[i]], j[g[j] > g[i]]
+    z = (R[j] - R[i]) / (g[j] - g[i])
+    return np.unique(z[z > 0]).tolist()
+
+
 def envelope_rule(instance: Instance, alpha: float, support: tuple[float, float]) -> AllocationRule:
     """Best-response rule of a linear contract with share ``alpha``.
 
@@ -170,7 +179,9 @@ def _virtual_rule(instance: Instance, iv: IronedVirtualCost, support: tuple[floa
     q_rule = envelope_rule(instance, 1.0, (q_lo, q_hi))
 
     pieces = []  # descending cost
-    z = [hi, *iv.inverse(np.asarray(q_rule.breakpoints[1:-1])).tolist(), lo]
+    # every pairwise crossing (the envelope's among them), kept for best_linear
+    inner = [*q_rule.breakpoints[1:-1], *_welfare_breakpoint_candidates(instance)]
+    z = [hi, *iv.inverse(np.asarray(inner))[: len(q_rule.breakpoints) - 2].tolist(), lo]
     for k, action in enumerate(q_rule.actions):
         c_hi, c_lo = min(hi, z[k]), max(lo, z[k + 1])
         if c_hi > c_lo:

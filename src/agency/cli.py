@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -460,6 +461,7 @@ def cmd_check_ic(args) -> int:
 # parser
 
 
+@cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="agency",
@@ -514,27 +516,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: ``reproduce`` options whose default depends on the example.
+_EXAMPLE_DEFAULTS = {"gap": {"n": 10, "delta": 0.01}, "scaling_uniform": {"n": 5, "delta": 0.1, "cbar": 5.0},
+                     "menu": {"n": 8}, "non_monotone": {"delta": 0.02, "epsilon": 0.01}, "smoothed": {"epsilon": 0.1}}
+
+
 def _fill_defaults(args) -> None:
-    if args.command == "reproduce":
-        if args.example == "gap":
-            args.n = 10 if args.n is None else args.n
-            args.delta = 0.01 if args.delta is None else args.delta
-        elif args.example == "scaling_uniform":
-            args.n = 5 if args.n is None else args.n
-            args.delta = 0.1 if args.delta is None else args.delta
-            args.cbar = 5.0 if args.cbar is None else args.cbar
-        elif args.example == "menu":
-            args.n = 8 if args.n is None else args.n
-        elif args.example == "non_monotone":
-            args.delta = 0.02 if args.delta is None else args.delta
-            args.epsilon = 0.01 if args.epsilon is None else args.epsilon
-        elif args.example == "smoothed":
-            args.epsilon = 0.1 if args.epsilon is None else args.epsilon
+    for key, value in _EXAMPLE_DEFAULTS.get(getattr(args, "example", None), {}).items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     _fill_defaults(args)
     try:
         return args.func(args)

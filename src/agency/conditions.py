@@ -94,8 +94,10 @@ def _landmarks(dist: TypeDistribution, alpha: float = 1.0) -> list[float]:
 def _slow_beta(kind: str, dist: TypeDistribution, upper, alpha: float, kappa: float, hi: float,
                scan_points: int) -> ConditionReport:
     """Largest beta with ``G(alpha c) >= beta G(upper(c))`` for all scanned
-    c in [kappa, hi]; a NaN alpha or kappa raises ``ValueError``."""
+    c in [kappa, hi]; a NaN, or an alpha outside (0, 1], raises ``ValueError``."""
     reject_nan(alpha=alpha, kappa=kappa)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
 
     def ratio(c):
         c = np.asarray(c, dtype=float)
@@ -121,10 +123,8 @@ def slowly_increasing_beta(
     dist: TypeDistribution, alpha: float, kappa: float, scan_points: int = SCAN_POINTS
 ) -> ConditionReport:
     """Largest beta with ``G(alpha c) >= beta G(c)`` for all scanned c >= kappa."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
     hi = dist.effective_high()
-    hi_scan = hi / alpha if alpha < 1.0 else hi
+    hi_scan = hi / alpha if 0.0 < alpha < 1.0 else hi  # _slow_beta rejects the other alphas
     return _slow_beta("slowly-increasing", dist, lambda c: c, alpha, kappa, hi_scan, scan_points)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationRule, envelope_rule, virtual_rule
+from .allocation import AllocationRule, _welfare_breakpoint_candidates, envelope_rule, virtual_rule
 from .instance import Instance, best_responses, kept
 from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, ironed
 
@@ -344,20 +344,6 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[flo
     return best_x, best_v
 
 
-def _welfare_breakpoint_candidates(instance: Instance) -> list[float]:
-    """All pairwise welfare crossings (a superset of the true breakpoints)."""
-    R = instance.expected_reward_array()
-    g = instance.gamma_array()
-    out = []
-    for i in range(len(R)):
-        for j in range(i + 1, len(R)):
-            if g[j] > g[i]:
-                z = (R[j] - R[i]) / (g[j] - g[i])
-                if z > 0:
-                    out.append(float(z))
-    return sorted(set(out))
-
-
 def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, float]:
     """Revenue-maximizing linear share.
 
@@ -375,12 +361,12 @@ def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, floa
         landmarks += ironed(dist).inverse(np.asarray(zs)).tolist()
     ratios = (np.asarray(landmarks)[:, None] / np.asarray(zs)[None, :]).ravel()
     ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]
-    alphas = sorted(set(np.linspace(0.0, 1.0, ALPHA_GRID).tolist()) | set(ratios.tolist()))
-    revs = linear_revenue(instance, dist, np.asarray(alphas))
+    alphas = np.unique(np.concatenate([np.linspace(0.0, 1.0, ALPHA_GRID), ratios]))
+    revs = linear_revenue(instance, dist, alphas)
     k = int(np.argmax(revs))
     best_a, best_v = alphas[k], revs[k]
-    lo = alphas[k - 1] if k > 0 else 0.0
-    hi = alphas[k + 1] if k + 1 < len(alphas) else 1.0
+    lo = float(alphas[k - 1]) if k > 0 else 0.0
+    hi = float(alphas[k + 1]) if k + 1 < len(alphas) else 1.0
     ga, gv = golden_section_max(lambda a: linear_revenue(instance, dist, a), lo, hi)
     if gv > best_v:
         best_a, best_v = ga, gv

@@ -49,7 +49,7 @@ TAIL_EPS = 1e-9
 #: Uniform points of the ironing grid (density kinks are added to them).
 IRON_GRID = 4096
 #: Most bisection rounds, and most points, one ``value`` call prices.
-_BISECT_DEPTH, _BISECT_POINTS = 6, 256
+_BISECT_DEPTH, _BISECT_POINTS = 6, 1024
 
 
 class DistributionError(ValueError):
@@ -586,9 +586,9 @@ class IronedVirtualCost:
 
         One ``value`` call prices every midpoint the next D rounds could
         visit (2**D - 1 per live level, all inside its bracket, built with
-        the rounds' own ``0.5 * (lo + hi)``), and the rounds walk the stored
-        comparisons: the points and bits of one round per call. D shrinks
-        from :data:`_BISECT_DEPTH` to keep a call within :data:`_BISECT_POINTS`.
+        the rounds' own ``0.5 * (lo + hi)``); :func:`_walk` resolves those
+        rounds by table lookup. D shrinks from :data:`_BISECT_DEPTH` to keep
+        a call within :data:`_BISECT_POINTS`.
         """
         lo = np.full(qa.shape, self.c_low)
         hi = np.full(qa.shape, self.c_high)
@@ -608,20 +608,44 @@ class IronedVirtualCost:
                 mids.append(0.5 * (L + H))
             mids = np.concatenate(mids, axis=1)
             lefts = self.value(mids.ravel()).reshape(mids.shape) <= qa[live, None]
-            row, col, active = np.arange(len(live)), np.zeros(len(live), dtype=np.intp), np.ones(len(live), dtype=bool)
-            for d in range(depth):
-                mid, left = mids[row, 2**d - 1 + col], lefts[row, 2**d - 1 + col]
-                l, h = np.where(active & left, mid, l), np.where(active & ~left, mid, h)
-                active &= h - l > 1e-15 * np.maximum(1.0, np.abs(h))
-                col += 2**d * ~left
-            lo[live], hi[live], live = l, h, live[active]
-            rounds += depth
+            lo[live], hi[live], still = _walk(l, h, mids, lefts)
+            live, rounds = live[still], rounds + depth
         # a bracket this tight that still contains a density kink means the
         # ironed virtual cost jumps across q there; the supremum is the kink
         kinks = np.asarray(self.dist.kinks())
         bracketed = (lo[:, None] <= kinks) & (kinks <= hi[:, None])
         out = np.where(bracketed.any(axis=1), kinks[bracketed.argmax(axis=1)], lo)
         return np.where(below, self.c_low, np.where(above, self.c_high, out))
+
+
+def _walk_tables(depth: int) -> tuple[np.ndarray, ...]:
+    """Lookup tables of a ``depth``-round chunk: leaf j's round d compares at
+    heap node ``nodes[d, j]`` and raises lo iff bit d of j is 0; ``cols[:, j]``
+    holds the ``[l, mids..., h]`` columns of lo, then hi, after each round;
+    ``first[b]`` is the lowest round whose bit in b is 0, else the last."""
+    j, d = np.arange(2**depth), np.arange(depth)[:, None]
+    nodes, left = 2**d - 1 + j % 2**d, (j >> d) & 1 == 0
+    lo = np.maximum.accumulate(np.where(left, nodes + 1, 0), axis=0)
+    hi = np.maximum.accumulate(np.where(left, 0, nodes + 1), axis=0)
+    cols = np.concatenate([lo, np.where(hi > 0, hi, 2**depth)])
+    return nodes, left[..., None], cols, 1 << d[:, 0], np.where(left.any(axis=0), left.argmax(axis=0), depth - 1)
+
+
+_WALKS = tuple(_walk_tables(depth) for depth in range(1, _BISECT_DEPTH + 1))
+
+
+def _walk(l: np.ndarray, h: np.ndarray, mids: np.ndarray, lefts: np.ndarray):
+    """``(lo, hi, open)`` per level after the rounds of the heap-ordered
+    ``mids`` and ``lefts`` rows, at the first tight bracket, else the last;
+    a level's path is the one leaf whose comparisons all match."""
+    depth, n = lefts.shape[1].bit_length(), len(l)
+    nodes, want, cols, bit, first = _WALKS[depth - 1]
+    leaf = (lefts.T[nodes] == want).all(axis=0)  # one-hot, leaf by level
+    ends = np.concatenate([l[:, None], mids, h[:, None]], axis=1).ravel()
+    lh = ends[cols @ leaf + np.arange(0, n * (2**depth + 1), 2**depth + 1)]
+    opened = bit @ (lh[depth:] - lh[:depth] > 1e-15 * np.maximum(1.0, np.abs(lh[depth:])))
+    at = first[opened] * n + np.arange(n)
+    return lh[:depth].ravel()[at], lh[depth:].ravel()[at], opened == 2**depth - 1
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:

@@ -10,7 +10,9 @@ so they are at least the grid's.
 
 Sequential searches, one step per call: the bisection behind
 ``IronedVirtualCost.inverse`` and the golden-section polish of
-``best_linear``. The batched searches must return the same bits.
+``best_linear``. The batched searches must return the same bits. Within one
+bisection chunk, the rounds walked one at a time over the stored midpoints
+and comparisons: the table lookup must give the same brackets.
 
 The lower convex hull behind ``iron`` as a plain monotone chain that visits
 every point, and the flats built from it pair by pair: the chain that pushes
@@ -269,6 +271,21 @@ def bisect_one_round_per_call(iv: IronedVirtualCost, qa: np.ndarray) -> np.ndarr
     bracketed = (lo[:, None] <= kinks) & (kinks <= hi[:, None])
     out = np.where(bracketed.any(axis=1), kinks[bracketed.argmax(axis=1)], lo)
     return np.where(below, iv.c_low, np.where(above, iv.c_high, out))
+
+
+def walk_one_round_at_a_time(l: np.ndarray, h: np.ndarray, mids: np.ndarray, lefts: np.ndarray):
+    """``(lo, hi, open)`` of each level after the rounds whose midpoints and
+    comparisons are stored in heap order (round d's midpoint j in column
+    ``2**d - 1 + j``), one round at a time: a level's bracket stops at the
+    first round where it is tight."""
+    depth = lefts.shape[1].bit_length()
+    row, col, active = np.arange(len(l)), np.zeros(len(l), dtype=np.intp), np.ones(len(l), dtype=bool)
+    for d in range(depth):
+        mid, left = mids[row, 2**d - 1 + col], lefts[row, 2**d - 1 + col]
+        l, h = np.where(active & left, mid, l), np.where(active & ~left, mid, h)
+        active &= h - l > 1e-15 * np.maximum(1.0, np.abs(h))
+        col += 2**d * ~left
+    return l, h, active
 
 
 def golden_section_one_step_per_call(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:

@@ -100,6 +100,19 @@ class TestSlowVirtual:
             slow_virtual_beta(smoothed_point_mass(0.3), None, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda dist, alpha: slowly_increasing_beta(dist, alpha, 0.0),
+    lambda dist, alpha: slow_virtual_beta(dist, None, alpha, 0.0),
+], ids=["slowly_increasing_beta", "slow_virtual_beta"])
+def test_alpha_outside_unit_interval_raises(entry):
+    # slow_virtual_beta used to return the vacuous 1.0 at alpha = 2 and 0.0
+    # at alpha = -1 without error
+    for alpha in (0.0, -1.0, 2.0, -0.0):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]$"):
+            entry(uniform(0, 1), alpha)
+    assert entry(uniform(0, 1), 1.0).value == pytest.approx(1.0)
+
+
 class TestLinearBounded:
     def test_uniform(self):
         rep = linear_bounded_params(uniform(0, 7))
@@ -328,6 +341,20 @@ class TestKeptResults:
                 assert verdict_text(pair, theorem, kw) == first
                 monkeypatch.undo()
                 assert bisections == [] and max(sizes, default=1) <= 1, (theorem, sizes)
+
+    def test_verdict_sequence_makes_one_bisection(self, monkeypatch):
+        # the first inverse (the virtual rule's, under lin_bounded_1) solves
+        # every welfare crossing; upper_n's best_linear finds its levels kept
+        bisect = IronedVirtualCost._bisect
+        for inst, dist in battery(27, 8):
+            ironed.cache_clear()
+            pair = fresh_pair(pair_spec(inst, dist))
+            bisections = []
+            monkeypatch.setattr(IronedVirtualCost, "_bisect", lambda iv, q: bisections.append(q) or bisect(iv, q))
+            for theorem in ("slow", "universal", "lin_bounded_1", "lin_bounded_2", "upper_n"):
+                verify(*pair, theorem)
+            monkeypatch.undo()
+            assert len(bisections) == 1
 
     def test_kappa_echoed_with_its_own_type_and_sign(self):
         inst, dist = battery(25, 1)[0]

@@ -20,7 +20,7 @@ import sys
 import pytest
 
 from agency import Instance, best_linear, from_spec, ironed, verify, virtual_rule, virtual_welfare
-from agency.cli import main
+from agency.cli import _build_parser, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 
@@ -75,6 +75,27 @@ def test_report_bytes(name):
     assert code == exit_code
     with open(_expected_path(name), encoding="utf-8", newline="") as fh:
         assert out == fh.read()
+
+
+#: argv that argparse rejects (exit 2) before any subcommand runs.
+BAD_ARGV = (["analyze"], ["no-such-command"], ["sweep-alpha", "--instance", _inp("uniform.json"), "--steps", "x"],
+            ["reproduce", "no_such_example"], ["verify", "--instance"])
+
+
+def test_one_parser_serves_every_call():
+    # one process: every golden call twice, a rejected argv before each
+    parser = _build_parser()
+    bad = iter(BAD_ARGV * (2 * len(CALLS)))
+    for name in sorted(CALLS) * 2:
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            _run(next(bad))
+        assert exc.value.code == 2
+        argv, exit_code = CALLS[name]
+        code, out = _run(argv)
+        assert code == exit_code
+        with open(_expected_path(name), encoding="utf-8", newline="") as fh:
+            assert out == fh.read(), name
+    assert _build_parser() is parser
 
 
 LIBRARY = os.path.join(GOLDEN, "library_pairs.json")

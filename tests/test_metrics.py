@@ -29,7 +29,8 @@ from agency import (
 from agency import metrics
 from agency.examples import gap, minimal_linear_alpha, smoothed
 from agency.instance import best_responses
-from agency.metrics import _welfare_breakpoint_candidates, golden_section_max, integrate_against
+from agency.allocation import _welfare_breakpoint_candidates
+from agency.metrics import golden_section_max, integrate_against
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
 from oracles import golden_section_one_step_per_call
@@ -313,13 +314,17 @@ class TestBestLinear:
             sweep = float(linear_revenue(inst, point_mass(c), np.linspace(0, 1, 20001)).max())
             assert rev >= sweep - 1e-9
 
+    @staticmethod
+    def one_walk_pairs():
+        d = 20.0 / 23.0
+        return battery(13, 4) + [(Instance(gammas=(0, 1, 3, 5.5), rewards=(0, 100, 300),
+                                           outcome_probs=((1, 0, 0), (0, 1, 0), (0, 0.5, 0.5), (0, 0, 1))),
+                                  piecewise([(0, 1, d), (1, 4, 0.025 * d), (4, 10, 0.0125 * d)]))]
+
     def test_virtual_rule_after_best_linear_runs_no_bisection(self, monkeypatch):
         # best_linear's landmarks hold the virtual rule's inverse levels, bit
         # for bit, and the ironed object keeps every level it solved
-        d = 20.0 / 23.0
-        pairs = battery(13, 4) + [(Instance(gammas=(0, 1, 3, 5.5), rewards=(0, 100, 300),
-                                            outcome_probs=((1, 0, 0), (0, 1, 0), (0, 0.5, 0.5), (0, 0, 1))),
-                                   piecewise([(0, 1, d), (1, 4, 0.025 * d), (4, 10, 0.0125 * d)]))]
+        pairs = self.one_walk_pairs()
         solved = []
         bisect = IronedVirtualCost._bisect
         monkeypatch.setattr(IronedVirtualCost, "_bisect", lambda iv, q: solved.append(len(q)) or bisect(iv, q))
@@ -331,6 +336,20 @@ class TestBestLinear:
             rule = virtual_rule(inst, ironed(dist))
             assert len(solved) == before + 1 and len(rule.breakpoints) > 2
 
+    def test_best_linear_after_virtual_rule_runs_no_bisection(self, monkeypatch):
+        # the virtual rule inverts every pairwise welfare crossing, which
+        # holds best_linear's inverse landmarks
+        solved = []
+        bisect = IronedVirtualCost._bisect
+        monkeypatch.setattr(IronedVirtualCost, "_bisect", lambda iv, q: solved.append(len(q)) or bisect(iv, q))
+        ironed.cache_clear()
+        for inst, dist in self.one_walk_pairs():
+            before = len(solved)
+            assert len(virtual_rule(inst, ironed(dist)).breakpoints) > 2
+            assert len(solved) == before + 1
+            best_linear(inst, dist)
+            assert len(solved) == before + 1
+
     def test_batched_polish_matches_one_step_per_call(self, monkeypatch):
         # every bracket best_linear polishes, searched both ways
         searches = []
@@ -339,6 +358,7 @@ class TestBestLinear:
         results = [best_linear(inst, dist) for inst, dist in polish_pairs()]
         assert len(searches) == len(results) == 60
         for f, lo, hi in searches:
+            assert type(lo) is float and type(hi) is float
             assert golden_section_max(f, lo, hi) == golden_section_one_step_per_call(f, lo, hi)
         monkeypatch.setattr(metrics, "golden_section_max", golden_section_one_step_per_call)
         assert [best_linear(inst, dist) for inst, dist in polish_pairs()] == results

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from agency import (
     uniform,
 )
 
-from oracles import bisect_one_round_per_call
+from agency.typedist import _walk
+from oracles import bisect_one_round_per_call, walk_one_round_at_a_time
 
 
 def run_probe(code: str) -> subprocess.CompletedProcess:
@@ -289,15 +291,53 @@ class TestIronInverse:
 
     @pytest.mark.parametrize("name", sorted(BISECT_DISTS))
     def test_batched_bisection_matches_one_round_per_call(self, name):
-        # live levels set the rounds one value call prices: 1 level six
-        # rounds, 5 five, 12 four, 30 three, 60 two, and 100 or 5,000 one
-        # until most have closed
+        # live levels set the rounds one value call prices: 1, 5 or 12
+        # levels six rounds, 30 five, 60 four, 100 three, 200 two, and 5,000
+        # one until most have closed; then every flat level and grid values
+        # of the ironed virtual cost, together and one at a time
         dist = BISECT_DISTS[name]
+        iv = iron(dist)
         rng = np.random.default_rng(17)
-        for n in (1, 5, 12, 30, 60, 100, 5000):
-            levels = spread_levels(iron(dist), n, rng)
-            assert len(levels) == n
-            assert iron(dist).inverse(levels).tolist() == bisect_one_round_per_call(iron(dist), levels).tolist()
+        batches = [spread_levels(iv, n, rng) for n in (1, 5, 12, 30, 60, 100, 200, 5000)]
+        assert [len(levels) for levels in batches] == [1, 5, 12, 30, 60, 100, 200, 5000]
+        special = np.unique([*(level for _, _, level in iv.flats), *iv.values[::157]])
+        for levels in [*batches, special, *special[:, None]]:
+            # replace() gives a copy with no solved levels
+            assert replace(iv).inverse(levels).tolist() == bisect_one_round_per_call(iv, levels).tolist()
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_walk_tables_match_one_round_at_a_time(self, depth):
+        # every comparison pattern of up to four rounds (each repeated to
+        # 2,000 rows or more) and 2,000 seeded ones of five or six; bracket
+        # widths a few tolerances wide make levels stop at every round of the
+        # chunk, and wide ones never stop
+        rng = np.random.default_rng(depth)
+        nodes = 2**depth - 1
+        if depth <= 4:
+            lefts = (np.arange(2**nodes)[:, None] >> np.arange(nodes)) & 1 == 1
+            lefts = np.tile(lefts, (-(-2000 // len(lefts)), 1))
+        else:
+            lefts = rng.random((2000, nodes)) < 0.5
+        n = len(lefts)
+        l = rng.choice([-3.0, 0.0, 0.25, 1.0, 7.5, 1e3], n) + rng.uniform(0.0, 1.0, n)
+        tol = 1e-15 * np.maximum(1.0, np.abs(l))
+        h = l + np.where(rng.random(n) < 0.1, 1.0, tol * rng.uniform(0.0, 2.0**depth, n))
+        # brackets [0, 1e-15 * 2**k] halve exactly, so a width meets the bound exactly
+        tie = rng.random(n) < 0.05
+        l, h = np.where(tie, 0.0, l), np.where(tie, 1e-15 * 2.0 ** rng.integers(1, depth + 1, n), h)
+        mids = [0.5 * (l + h)[:, None]]  # the chunk's heap order, as the bisection builds it
+        L, H = l[:, None], h[:, None]
+        for _ in range(depth - 1):
+            L, H = np.concatenate([mids[-1], L], axis=1), np.concatenate([H, mids[-1]], axis=1)
+            mids.append(0.5 * (L + H))
+        mids = np.concatenate(mids, axis=1)
+        got, want = _walk(l, h, mids, lefts), walk_one_round_at_a_time(l, h, mids, lefts)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        # rounds each level stays open: a shorter chunk is a prefix of the columns
+        rounds_open = sum(walk_one_round_at_a_time(l, h, mids[:, : 2**d - 1], lefts[:, : 2**d - 1])[2]
+                          for d in range(1, depth + 1))
+        assert set(rounds_open.tolist()) == set(range(depth + 1))
 
     def test_fresh_level_takes_at_most_twelve_value_calls(self, monkeypatch):
         # one round per call took 53 to 57 calls on these
