@@ -133,13 +133,18 @@ def _envelope_rule_from_lines(
     return AllocationRule(breakpoints=tuple(breakpoints), actions=tuple(actions))
 
 
+def _crossings(T: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Costs strictly inside ``(lo, hi)`` where two lines ``T[i] - g[i] * c``
+    of different slopes cross, pairs taken in the order ``i < j``."""
+    i, j = np.triu_indices(len(g), 1)
+    i, j = i[g[i] != g[j]], j[g[i] != g[j]]
+    x = (T[i] - T[j]) / (g[i] - g[j])
+    return x[(lo < x) & (x < hi)]
+
+
 def _welfare_breakpoint_candidates(instance: Instance) -> list[float]:
     """All pairwise welfare crossings (a superset of the true breakpoints)."""
-    R, g = instance.expected_reward_array(), instance.gamma_array()
-    i, j = np.triu_indices(len(R), 1)
-    i, j = i[g[j] > g[i]], j[g[j] > g[i]]
-    z = (R[j] - R[i]) / (g[j] - g[i])
-    return np.unique(z[z > 0]).tolist()
+    return np.unique(_crossings(instance.expected_reward_array(), instance.gamma_array(), 0.0, np.inf)).tolist()
 
 
 def envelope_rule(instance: Instance, alpha: float, support: tuple[float, float]) -> AllocationRule:
@@ -156,19 +161,16 @@ def envelope_rule(instance: Instance, alpha: float, support: tuple[float, float]
     return _envelope_rule_from_lines(T, instance.gamma_array(), R - T, support)
 
 
-def virtual_rule(
-    instance: Instance,
-    iv: IronedVirtualCost,
-    support: tuple[float, float] | None = None,
-) -> AllocationRule:
-    """Virtual-welfare-maximizing rule: welfare argmax composed with the
-    ironed virtual cost; breakpoints are inverse images of the welfare
-    breakpoints. Kept on ``instance`` per ``iv`` and support (see ``instance.kept``)."""
-    return kept(_virtual_rule, instance, (iv,), support=support)
+def virtual_rule(instance: Instance, iv: IronedVirtualCost) -> AllocationRule:
+    """Virtual-welfare-maximizing rule over ``iv``'s cost range: welfare
+    argmax composed with the ironed virtual cost; breakpoints are inverse
+    images of the welfare breakpoints. Kept on ``instance`` per ``iv`` (see
+    ``instance.kept``)."""
+    return kept(_virtual_rule, instance, (iv,))
 
 
-def _virtual_rule(instance: Instance, iv: IronedVirtualCost, support: tuple[float, float] | None) -> AllocationRule:
-    lo, hi = support if support is not None else (iv.c_low, iv.c_high)
+def _virtual_rule(instance: Instance, iv: IronedVirtualCost) -> AllocationRule:
+    lo, hi = iv.c_low, iv.c_high
     q_lo, q_hi = iv.value(np.asarray([lo, hi], dtype=float)).tolist()
     if not q_lo < q_hi:
         # constant ironed virtual cost: a single action wins everywhere

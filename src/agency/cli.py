@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from functools import cache
 
@@ -58,19 +57,6 @@ class InputError(Exception):
     """Malformed input file; the message names file, key, and constraint."""
 
 
-def _scan_points() -> int:
-    raw = os.environ.get("AGENCY_GRID")
-    if raw is None:
-        return SCAN_POINTS
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise InputError(f"AGENCY_GRID: must be an integer, got {raw!r}") from exc
-    if v < 64:
-        raise InputError("AGENCY_GRID: scan density must be at least 64")
-    return v
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -81,7 +67,7 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def load_instance(path: str) -> tuple[Instance, TypeDistribution | None, dict]:
+def load_instance(path: str) -> tuple[Instance, TypeDistribution | None]:
     raw = _load_json(path)
     for key in ("gammas", "rewards", "F"):
         if key not in raw:
@@ -105,7 +91,7 @@ def load_instance(path: str) -> tuple[Instance, TypeDistribution | None, dict]:
             dist = from_spec(raw["dist"])
         except DistributionError as exc:
             raise InputError(f"{path}: dist: {exc}") from exc
-    return inst, dist, raw
+    return inst, dist
 
 
 def load_dist(path: str) -> TypeDistribution:
@@ -127,7 +113,7 @@ def load_contract(path: str) -> MenuContract:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _instance_block(inst: Instance, raw: dict | None = None) -> dict:
+def _instance_block(inst: Instance) -> dict:
     payload = {
         "gammas": list(inst.gammas),
         "rewards": list(inst.rewards),
@@ -139,24 +125,24 @@ def _instance_block(inst: Instance, raw: dict | None = None) -> dict:
     return {**payload, "sha256": digest}
 
 
-def _tolerances(scan_points: int) -> dict:
+def _tolerances() -> dict:
     return {
         "tie": TIE_TOL,
         "row_sum": ROW_SUM_TOL,
         "mass": MASS_TOL,
         "curvature": CURVATURE_TOL,
         "verdict_relative": VERDICT_TOL,
-        "scan_points": scan_points,
+        "scan_points": SCAN_POINTS,
         "iron_grid": IRON_GRID,
     }
 
 
-def _report(kind: str, scan_points: int, **payload) -> dict:
+def _report(kind: str, **payload) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "agency", "version": __version__},
         "kind": kind,
-        "tolerances": _tolerances(scan_points),
+        "tolerances": _tolerances(),
         **payload,
     }
 
@@ -200,21 +186,19 @@ def _need_dist(args, embedded: TypeDistribution | None) -> TypeDistribution:
 
 
 def cmd_analyze(args) -> int:
-    scan = _scan_points()
-    inst, embedded, _ = load_instance(args.instance)
+    inst, embedded = load_instance(args.instance)
     dist = _need_dist(args, embedded)
     metrics = compute_metrics(inst, dist)
     conds = []
     kappa0 = dist.c_low
-    conds.append(slowly_increasing_beta(dist, 0.5, kappa0, scan).to_dict())
+    conds.append(slowly_increasing_beta(dist, 0.5, kappa0).to_dict())
     if not dist.has_atoms:
-        conds.append(linear_bounded_params(dist, None, kappa0, scan).to_dict())
-        conds.append(rhr_bound_alpha_hat(dist, scan).to_dict())
+        conds.append(linear_bounded_params(dist, None, kappa0).to_dict())
+        conds.append(rhr_bound_alpha_hat(dist).to_dict())
         conds.append(small_tail_eta(inst, dist, dist.quantile(0.5), "virtual").to_dict())
     conds.append(small_tail_eta(inst, dist, dist.quantile(0.5), "cost").to_dict())
     report = _report(
         "analyze",
-        scan,
         instance=_instance_block(inst),
         dist=to_spec(dist),
         metrics=metrics.to_dict(),
@@ -225,8 +209,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    scan = _scan_points()
-    inst, embedded, _ = load_instance(args.instance)
+    inst, embedded = load_instance(args.instance)
     dist = _need_dist(args, embedded)
     alphas = np.linspace(0.0, 1.0, args.steps)
     table = list(zip(alphas.tolist(), linear_revenue(inst, dist, alphas).tolist()))
@@ -248,7 +231,6 @@ def cmd_sweep_alpha(args) -> int:
         return EXIT_OK
     report = _report(
         "sweep-alpha",
-        scan,
         instance=_instance_block(inst),
         dist=to_spec(dist),
         sweep=[{"alpha": a, "revenue": r} for a, r in table],
@@ -259,8 +241,7 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scan = _scan_points()
-    inst, embedded, _ = load_instance(args.instance)
+    inst, embedded = load_instance(args.instance)
     dist = _need_dist(args, embedded)
     verdict = verify(
         inst,
@@ -273,11 +254,9 @@ def cmd_verify(args) -> int:
         eta=args.eta,
         epsilon=args.epsilon,
         variant=args.variant,
-        scan_points=scan,
     )
     report = _report(
         "verify",
-        scan,
         instance=_instance_block(inst),
         dist=to_spec(dist),
         verdict=verdict.to_dict(),
@@ -410,14 +389,12 @@ def _checks_non_monotone(args) -> list[dict]:
 
 def _checks_smoothed(args) -> list[dict]:
     ex = build("smoothed", epsilon=args.epsilon)
-    verdict = verify(ex.instance, ex.distributions["smoothed"], "smooth",
-                     epsilon=args.epsilon, scan_points=_scan_points())
+    verdict = verify(ex.instance, ex.distributions["smoothed"], "smooth", epsilon=args.epsilon)
     return [{"name": "smooth_guarantee", "value": verdict.to_dict(),
              "expected": ex.facts["welfare_guarantee"], "passed": verdict.passed}]
 
 
 def cmd_reproduce(args) -> int:
-    scan = _scan_points()
     runners = {
         "gap": _checks_gap,
         "scaling_uniform": _checks_scaling_uniform,
@@ -427,20 +404,18 @@ def cmd_reproduce(args) -> int:
         "smoothed": _checks_smoothed,
     }
     checks = runners[args.example](args)
-    report = _report("reproduce", scan, example=args.example, checks=checks,
+    report = _report("reproduce", example=args.example, checks=checks,
                      passed=all(c["passed"] for c in checks))
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def cmd_check_ic(args) -> int:
-    scan = _scan_points()
-    inst, _, _ = load_instance(args.instance)
+    inst, _ = load_instance(args.instance)
     contract = load_contract(args.contract)
     rep = check_menu_ic(inst, contract)
     report = _report(
         "check-ic",
-        scan,
         instance=_instance_block(inst),
         contract=contract.to_dict(),
         summary={

@@ -1,7 +1,7 @@
 """Distributional condition parameters and theorem verdicts.
 
 Each condition is an inf/sup of a CDF or virtual-cost ratio over a cost
-range, estimated by a dense scan (4096 points by default, plus every
+range, estimated by a dense scan (:data:`SCAN_POINTS` points plus every
 distribution landmark) followed by rounds of local trisection refinement.
 Verdicts record the measured parameters, the implied guarantee, and
 whether the guaranteed inequality holds on the concrete instance.
@@ -39,7 +39,7 @@ class ConditionReport:
     value: float
     witness: float | None
     params: dict = field(default_factory=dict)
-    scan_points: int = SCAN_POINTS
+    scan_points = SCAN_POINTS
 
     def to_dict(self) -> dict:
         return {
@@ -51,9 +51,9 @@ class ConditionReport:
         }
 
 
-def _scan(f, lo: float, hi: float, points: int, extras=()) -> tuple[np.ndarray, np.ndarray]:
-    """``points`` even points of [lo, hi] plus the extras inside it, and f there."""
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, points), [e for e in extras if lo <= e <= hi]]))
+def _scan(f, lo: float, hi: float, extras=()) -> tuple[np.ndarray, np.ndarray]:
+    """:data:`SCAN_POINTS` even points of [lo, hi] plus the extras inside it, and f there."""
+    xs = np.unique(np.concatenate([np.linspace(lo, hi, SCAN_POINTS), [e for e in extras if lo <= e <= hi]]))
     with np.errstate(all="ignore"):
         return xs, np.asarray(f(xs), dtype=float)
 
@@ -91,8 +91,7 @@ def _landmarks(dist: TypeDistribution, alpha: float = 1.0) -> list[float]:
     return pts
 
 
-def _slow_beta(kind: str, dist: TypeDistribution, upper, alpha: float, kappa: float, hi: float,
-               scan_points: int) -> ConditionReport:
+def _slow_beta(kind: str, dist: TypeDistribution, upper, alpha: float, kappa: float, hi: float) -> ConditionReport:
     """Largest beta with ``G(alpha c) >= beta G(upper(c))`` for all scanned
     c in [kappa, hi]; a NaN, or an alpha outside (0, 1], raises ``ValueError``."""
     reject_nan(alpha=alpha, kappa=kappa)
@@ -107,7 +106,7 @@ def _slow_beta(kind: str, dist: TypeDistribution, upper, alpha: float, kappa: fl
             return np.where(den > 1e-300, num / den, np.nan)
 
     lo = max(kappa, dist.c_low)
-    x, v = _scan_min(ratio, *_scan(ratio, lo, max(hi, lo + 1e-12), scan_points, _landmarks(dist, alpha)))
+    x, v = _scan_min(ratio, *_scan(ratio, lo, max(hi, lo + 1e-12), _landmarks(dist, alpha)))
     if not math.isfinite(v):
         v, x = 1.0, lo  # G vanishes on the whole range: vacuous condition
     return ConditionReport(
@@ -115,53 +114,43 @@ def _slow_beta(kind: str, dist: TypeDistribution, upper, alpha: float, kappa: fl
         value=float(min(v, 1.0)),
         witness=x,
         params={"alpha": alpha, "kappa": kappa},
-        scan_points=scan_points,
     )
 
 
-def slowly_increasing_beta(
-    dist: TypeDistribution, alpha: float, kappa: float, scan_points: int = SCAN_POINTS
-) -> ConditionReport:
+def slowly_increasing_beta(dist: TypeDistribution, alpha: float, kappa: float) -> ConditionReport:
     """Largest beta with ``G(alpha c) >= beta G(c)`` for all scanned c >= kappa."""
     hi = dist.effective_high()
     hi_scan = hi / alpha if 0.0 < alpha < 1.0 else hi  # _slow_beta rejects the other alphas
-    return _slow_beta("slowly-increasing", dist, lambda c: c, alpha, kappa, hi_scan, scan_points)
+    return _slow_beta("slowly-increasing", dist, lambda c: c, alpha, kappa, hi_scan)
 
 
 def slow_virtual_beta(
-    dist: TypeDistribution,
-    iv: IronedVirtualCost | None,
-    alpha: float,
-    kappa: float,
-    scan_points: int = SCAN_POINTS,
+    dist: TypeDistribution, iv: IronedVirtualCost | None, alpha: float, kappa: float
 ) -> ConditionReport:
     """Largest beta with ``G(alpha c) >= beta G(inverse_ironed(c))`` from kappa up."""
     if dist.has_atoms:
         raise AtomPresentError("slow-virtual condition requires an atom-free distribution")
     iv = ironed(dist) if iv is None else iv
-    return _slow_beta("slow-virtual", dist, iv.inverse, alpha, kappa, float(iv.values[-1]), scan_points)
+    return _slow_beta("slow-virtual", dist, iv.inverse, alpha, kappa, float(iv.values[-1]))
 
 
 def linear_bounded_params(
-    dist: TypeDistribution,
-    iv: IronedVirtualCost | None = None,
-    kappa: float = 0.0,
-    scan_points: int = SCAN_POINTS,
+    dist: TypeDistribution, iv: IronedVirtualCost | None = None, kappa: float = 0.0
 ) -> ConditionReport:
     """Tightest (alpha, beta) with ``c/alpha <= ironed(c) <= c/beta`` above kappa.
 
     Measured as the sup and inf of ``c / ironed(c)``; the value field holds
     alpha, params carry both. On unbounded supports beta is only valid up
-    to the scan truncation, which is flagged. Kept on ``iv`` per ``dist``,
-    kappa and scan size (``instance.kept``); each call owns its ``params``.
+    to the scan truncation, which is flagged. Kept on ``iv`` per ``dist``
+    and kappa (``instance.kept``); each call owns its ``params``.
     """
     if dist.has_atoms:
         raise AtomPresentError("linear boundedness requires an atom-free distribution")
-    rep = kept(_linear_bounded, ironed(dist) if iv is None else iv, (dist,), kappa=kappa, scan_points=scan_points)
+    rep = kept(_linear_bounded, ironed(dist) if iv is None else iv, (dist,), kappa=kappa)
     return replace(rep, params=dict(rep.params))
 
 
-def _linear_bounded(iv: IronedVirtualCost, dist: TypeDistribution, kappa: float, scan_points: int) -> ConditionReport:
+def _linear_bounded(iv: IronedVirtualCost, dist: TypeDistribution, kappa: float) -> ConditionReport:
     lo = max(kappa, dist.c_low)
     hi = iv.c_high
     if lo <= 0.0:
@@ -173,7 +162,7 @@ def _linear_bounded(iv: IronedVirtualCost, dist: TypeDistribution, kappa: float,
         with np.errstate(all="ignore"):
             return np.where(vb > 0, c / vb, np.nan)
 
-    scan = _scan(ratio, lo, hi, scan_points, _landmarks(dist))  # shared by the sup and the inf
+    scan = _scan(ratio, lo, hi, _landmarks(dist))  # shared by the sup and the inf
     x_sup, alpha = _scan_max(ratio, *scan)
     x_inf, beta = _scan_min(ratio, *scan)
     unbounded = not math.isfinite(dist.c_high)
@@ -188,7 +177,6 @@ def _linear_bounded(iv: IronedVirtualCost, dist: TypeDistribution, kappa: float,
             "kappa": kappa,
             "beta_scan_truncated": unbounded,
         },
-        scan_points=scan_points,
     )
 
 
@@ -218,7 +206,7 @@ def small_tail_eta(
     )
 
 
-def rhr_bound_alpha_hat(dist: TypeDistribution, scan_points: int = SCAN_POINTS) -> ConditionReport:
+def rhr_bound_alpha_hat(dist: TypeDistribution) -> ConditionReport:
     """Largest alpha-hat with ``reverse_hazard_rate(c) <= 1/(alpha_hat c)``.
 
     Equals the inf of ``G(c) / (c g(c))`` over the support; implies the
@@ -239,7 +227,7 @@ def rhr_bound_alpha_hat(dist: TypeDistribution, scan_points: int = SCAN_POINTS) 
         with np.errstate(all="ignore"):
             return np.where((g > 0) & (c > 0), G / (c * g), np.nan)
 
-    x, v = _scan_min(ratio, *_scan(ratio, lo, hi, scan_points, _landmarks(dist)))
+    x, v = _scan_min(ratio, *_scan(ratio, lo, hi, _landmarks(dist)))
     grid = np.linspace(lo, hi, 512)
     phi = np.asarray(dist.virtual_cost(grid), dtype=float)
     slack = float(np.min(phi - (1.0 + v) * grid))
@@ -248,7 +236,6 @@ def rhr_bound_alpha_hat(dist: TypeDistribution, scan_points: int = SCAN_POINTS) 
         value=float(v),
         witness=x,
         params={"virtual_cost_slack": slack},
-        scan_points=scan_points,
     )
 
 
@@ -272,7 +259,7 @@ class TheoremVerdict:
     passed: bool
     degenerate: bool
     params: dict = field(default_factory=dict)
-    tolerance: float = VERDICT_TOL
+    tolerance = VERDICT_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -314,7 +301,6 @@ def _finish(
     revenue: float,
     alpha: float,
     params: dict,
-    tol: float,
 ) -> TheoremVerdict:
     degenerate = benchmark <= 1e-12
     if degenerate:
@@ -323,7 +309,7 @@ def _finish(
         notes = notes + ["benchmark is zero; pass is vacuous"]
     else:
         ratio = benchmark / revenue if revenue > 0 else math.inf
-        ineq = benchmark <= guarantee * revenue + tol * benchmark
+        ineq = benchmark <= guarantee * revenue + VERDICT_TOL * benchmark
     return TheoremVerdict(
         theorem=theorem,
         hypothesis_ok=hypothesis_ok,
@@ -337,13 +323,12 @@ def _finish(
         passed=bool(hypothesis_ok and ineq),
         degenerate=bool(degenerate),
         params=params,
-        tolerance=tol,
     )
 
 
-def _density_non_increasing(dist: TypeDistribution, scan_points: int) -> bool:
+def _density_non_increasing(dist: TypeDistribution) -> bool:
     lo, hi = dist.c_low, dist.effective_high()
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, SCAN_POINTS)
     g = np.asarray(dist.pdf(grid, side="right"), dtype=float)
     scale = max(float(g.max()), 1e-300)
     return bool(np.all(np.diff(g) <= 1e-9 * scale))
@@ -367,8 +352,6 @@ def verify(
     eta: float | None = None,
     epsilon: float | None = None,
     variant: str | None = None,
-    tol: float = VERDICT_TOL,
-    scan_points: int = SCAN_POINTS,
 ) -> TheoremVerdict:
     """Numerically check one approximation guarantee on (instance, dist).
 
@@ -394,7 +377,7 @@ def verify(
         wel = eta_rep.params["full"]
         rev = linear_revenue(instance, dist, alpha)
         return _finish(theorem, hyp, notes, guarantee, "welfare", wel, rev, alpha,
-                       {"q": q, "c_q": c_q, "kappa": kap, "eta": eta_m}, tol)
+                       {"q": q, "c_q": c_q, "kappa": kap, "eta": eta_m})
 
     if theorem == "slow":
         alpha = 0.5 if alpha is None else alpha
@@ -404,7 +387,7 @@ def verify(
             hyp, notes = False, notes + ["need alpha strictly inside (0, 1)"]
         if kappa < dist.c_low / alpha - 1e-12:
             hyp, notes = False, notes + ["kappa below c_low/alpha"]
-        beta_m = beta if beta is not None else slowly_increasing_beta(dist, alpha, kappa, scan_points).value
+        beta_m = beta if beta is not None else slowly_increasing_beta(dist, alpha, kappa).value
         eta_rep = small_tail_eta(instance, dist, kappa, "cost")
         eta_m = eta if eta is not None else eta_rep.value
         if beta_m <= 0 or eta_m <= 0:
@@ -412,15 +395,15 @@ def verify(
         guarantee = 1.0 / ((1.0 - alpha) * beta_m * eta_m) if hyp else math.inf
         rev = linear_revenue(instance, dist, alpha)
         return _finish(theorem, hyp, notes, guarantee, "welfare", eta_rep.params["full"], rev,
-                       alpha, {"beta": beta_m, "eta": eta_m, "kappa": kappa}, tol)
+                       alpha, {"beta": beta_m, "eta": eta_m, "kappa": kappa})
 
     if theorem in ("lin_bounded_1", "lin_bounded_2"):
         kappa = dist.c_low if kappa is None else kappa
         try:
-            lb = linear_bounded_params(dist, None, kappa, scan_points)
+            lb = linear_bounded_params(dist, None, kappa)
         except AtomPresentError:
             return _finish(theorem, False, ["distribution has atoms"], math.inf,
-                           "virtual_welfare", 0.0, 0.0, 0.0, {}, tol)
+                           "virtual_welfare", 0.0, 0.0, 0.0, {})
         alpha_m = lb.value
         beta_m = lb.params["beta"]
         if lb.params["beta_scan_truncated"]:
@@ -442,18 +425,18 @@ def verify(
             guarantee = 1.0 / (eta_m * (1.0 - alpha_m)) if hyp else math.inf
         rev = linear_revenue(instance, dist, alpha_m)
         return _finish(theorem, hyp, notes, guarantee, "virtual_welfare",
-                       eta_rep.params["full"], rev, alpha_m, params, tol)
+                       eta_rep.params["full"], rev, alpha_m, params)
 
     if theorem == "upper_n":
         if instance.n < 1:
             hyp, notes = False, notes + ["need at least one non-null action"]
         if dist.has_atoms:
             return _finish(theorem, False, ["distribution has atoms"], math.inf,
-                           "virtual_welfare", 0.0, 0.0, 0.0, {}, tol)
+                           "virtual_welfare", 0.0, 0.0, 0.0, {})
         a_star, rev = best_linear(instance, dist)
         vwel = virtual_welfare(instance, dist)
         return _finish(theorem, hyp, notes, float(instance.n), "virtual_welfare",
-                       vwel, rev, a_star, {"n": instance.n}, tol)
+                       vwel, rev, a_star, {"n": instance.n})
 
     if theorem == "smooth":
         if epsilon is None:
@@ -463,17 +446,17 @@ def verify(
         if not np.allclose(np.asarray(dist.cdf(probe)), np.asarray(canonical.cdf(probe)), atol=1e-9):
             hyp, notes = False, notes + ["distribution is not the smoothed point mass"]
         beta_closed = epsilon / (2.0 * (2.0 - epsilon))
-        beta_m = slowly_increasing_beta(dist, 0.5, 0.0, scan_points).value
+        beta_m = slowly_increasing_beta(dist, 0.5, 0.0).value
         if beta_m < beta_closed - 1e-9:
             hyp, notes = False, notes + ["measured slow-increase beta below the closed form"]
         guarantee = 4.0 * (2.0 - epsilon) / epsilon
         wel = welfare(instance, dist)
         rev = linear_revenue(instance, dist, 0.5)
         return _finish(theorem, hyp, notes, guarantee, "welfare", wel, rev, 0.5,
-                       {"epsilon": epsilon, "beta": beta_m, "beta_closed_form": beta_closed}, tol)
+                       {"epsilon": epsilon, "beta": beta_m, "beta_closed_form": beta_closed})
 
     if theorem == "wel_implications":
-        if not _density_non_increasing(dist, scan_points):
+        if not _density_non_increasing(dist):
             hyp, notes = False, notes + ["density is not non-increasing"]
         if dist.c_low > 0:
             kappa = 3.0 if kappa is None else kappa
@@ -499,16 +482,16 @@ def verify(
         return _finish(theorem, hyp, notes, guarantee, "welfare", eta_rep.params["full"],
                        rev, alpha_v,
                        {"kappa": kappa, "threshold": threshold, "eta": eta_m,
-                        "variant": variant_used}, tol)
+                        "variant": variant_used})
 
     if theorem == "rev_implications":
         if variant is None:
             raise ValueError("rev_implications needs a variant")
         if dist.has_atoms:
             return _finish(theorem, False, ["distribution has atoms"], math.inf,
-                           "virtual_welfare", 0.0, 0.0, 0.0, {}, tol)
+                           "virtual_welfare", 0.0, 0.0, 0.0, {})
         iv = ironed(dist)
-        lb = linear_bounded_params(dist, iv, dist.c_low, scan_points)
+        lb = linear_bounded_params(dist, iv, dist.c_low)
         params: dict = {"variant": variant, "alpha_measured": lb.value,
                         "beta_measured": lb.params["beta"]}
         if variant == "uniform":
@@ -519,7 +502,7 @@ def verify(
             params["top_action"] = int(top_action)
             guarantee = 1.0 if top_action == 0 else 2.0
         elif variant == "exponential":
-            if not (_density_non_increasing(dist, scan_points) and dist.c_low <= 1e-12):
+            if not (_density_non_increasing(dist) and dist.c_low <= 1e-12):
                 hyp, notes = False, notes + ["need non-increasing density on [0, inf)"]
             if lb.value > 0.5 + 1e-6:
                 hyp, notes = False, notes + ["virtual cost dips below 2c"]
@@ -541,7 +524,7 @@ def verify(
             guarantee = 3.0
         elif variant == "non_increasing":
             kappa = 3.0 if kappa is None else kappa
-            if dist.c_low <= 0 or kappa <= 1.0 or not _density_non_increasing(dist, scan_points):
+            if dist.c_low <= 0 or kappa <= 1.0 or not _density_non_increasing(dist):
                 hyp, notes = False, notes + ["need non-increasing density, c_low > 0, kappa > 1"]
             alpha_v = kappa / (2.0 * kappa - 1.0)
             threshold = kappa * dist.c_low
@@ -556,6 +539,6 @@ def verify(
         vwel = virtual_welfare(instance, dist, iv=iv)
         rev = linear_revenue(instance, dist, alpha_v)
         return _finish(theorem, hyp, notes, guarantee, "virtual_welfare", vwel, rev,
-                       alpha_v, params, tol)
+                       alpha_v, params)
 
     raise ValueError(f"unknown theorem '{theorem}' (choose from {', '.join(THEOREMS)})")

@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import AllocationRule, _envelope_rule_from_lines, interval_index, rule_from_payments, virtual_rule
+from .allocation import (AllocationRule, _crossings, _envelope_rule_from_lines, interval_index, rule_from_payments,
+                         virtual_rule)
 from .instance import TIE_TOL, Instance, PaymentProfile, best_responses, linear_payments
 from .metrics import add_atom_revenue
 from .typedist import TypeDistribution, ironed
@@ -101,15 +102,6 @@ class CurvatureCheck:
     consistent: bool
 
 
-def _crossings(T: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Costs strictly inside ``(lo, hi)`` where two lines ``T[i] - g[i] * c``
-    of different slopes cross, pairs taken in the order ``i < j``."""
-    i, j = np.triu_indices(len(g), 1)
-    i, j = i[g[i] != g[j]], j[g[i] != g[j]]
-    x = (T[i] - T[j]) / (g[i] - g[j])
-    return x[(lo < x) & (x < hi)]
-
-
 def _deviation_candidates(instance: Instance, T: np.ndarray, path: _ActionPath) -> np.ndarray:
     return np.unique(np.concatenate([path.knots, _crossings(T, instance.gamma_array(), *path.support)]))
 
@@ -138,13 +130,12 @@ def curvature_check(
     rule: AllocationRule,
     c: float,
     t_c: PaymentProfile | Sequence[float] | np.ndarray,
-    tol: float = CURVATURE_TOL,
 ) -> CurvatureCheck:
     """Check the anchored implementability integral for payments ``t_c``.
 
     The worst value D* of the integral over all deviation types is located
     exactly on the merged kink set of the rule and the payment envelope;
-    the check passes when D* stays within ``tol``.
+    the check passes when D* stays within :data:`CURVATURE_TOL`.
     """
     path = _ActionPath.from_rule(rule, instance)
     T = instance.expected_payments(t_c)
@@ -155,7 +146,7 @@ def curvature_check(
         anchor=float(c),
         worst_deviation=worst,
         dstar=float(dstar),
-        passed=bool(dstar <= tol),
+        passed=bool(dstar <= CURVATURE_TOL),
         consistent=consistent,
     )
 
@@ -261,9 +252,7 @@ class Certificate:
         return {**asdict(self), "grid_relative": False}
 
 
-def certify_non_implementable_at(
-    instance: Instance, rule: AllocationRule, c: float, tol: float = CURVATURE_TOL
-) -> Certificate:
+def certify_non_implementable_at(instance: Instance, rule: AllocationRule, c: float) -> Certificate:
     """Decide by LP whether any payments implement ``rule`` at ``c``.
 
     With a = x(c), A = F - 1 F_a and W the rule's tail effort, payments t
@@ -280,7 +269,7 @@ def certify_non_implementable_at(
     res, status = _linprog(np.append(np.zeros(m), 1.0), np.block([[A, -np.ones((k, 1))], [A, np.zeros((k, 1))]]),
                            np.concatenate([b, d]), [(0.0, None)] * m + [(None, None)])
     if res.status != 0:
-        return Certificate(False, float(c), None, None, tol, status, None)
+        return Certificate(False, float(c), None, None, CURVATURE_TOL, status, None)
     t = _payments(res.x[:m])
     chk = curvature_check(instance, rule, c, t)
     dual = -res.ineqlin.marginals + 0.0
@@ -288,11 +277,11 @@ def certify_non_implementable_at(
     w = _active_set_dual(Ax, dual, t)
     bound = None if w is None else _dual_bound(Ax, b, d, w)
     return Certificate(
-        certified=bool(chk.dstar > tol and bound is not None and bound > tol),
+        certified=bool(chk.dstar > CURVATURE_TOL and bound is not None and bound > CURVATURE_TOL),
         anchor=float(c),
         min_dstar=chk.dstar,
         witness=t if chk.passed and chk.consistent else None,
-        tolerance=tol,
+        tolerance=CURVATURE_TOL,
         lp_status=status if bound is not None else "dual_not_exact",
         dual=tuple(dual.tolist()),
     )
@@ -491,7 +480,7 @@ def _menu_dstar(instance: Instance, contract: MenuContract, types: np.ndarray, a
     return dstar
 
 
-def check_menu_ic(instance: Instance, contract: MenuContract, *, tol: float = CURVATURE_TOL) -> MenuIcReport:
+def check_menu_ic(instance: Instance, contract: MenuContract) -> MenuIcReport:
     """Verify exactly that no type prefers another menu entry.
 
     Reports both the worst self-selection gap (utility of the best menu
@@ -511,15 +500,16 @@ def check_menu_ic(instance: Instance, contract: MenuContract, *, tol: float = CU
         worst_dstar=float(dstar[worst_k]),
         worst_dstar_anchor=float(types[worst_k]),
         checked_types=len(types),
-        passed=bool(gap[worst_gap_k] <= tol and dstar[worst_k] <= tol),
-        rows=tuple({"type": c, "dstar": d, "passed": d <= tol} for c, d in zip(types.tolist(), dstar.tolist())),
+        passed=bool(gap[worst_gap_k] <= CURVATURE_TOL and dstar[worst_k] <= CURVATURE_TOL),
+        rows=tuple({"type": c, "dstar": d, "passed": d <= CURVATURE_TOL}
+                   for c, d in zip(types.tolist(), dstar.tolist())),
     )
 
 
-def menu_curvature_rows(instance: Instance, contract: MenuContract, *, tol: float = CURVATURE_TOL) -> list[dict]:
+def menu_curvature_rows(instance: Instance, contract: MenuContract) -> list[dict]:
     """D* at each of :func:`check_menu_ic`'s checkpoints, the worse of
     both sides at a breakpoint."""
-    return list(check_menu_ic(instance, contract, tol=tol).rows)
+    return list(check_menu_ic(instance, contract).rows)
 
 
 def menu_selection(instance: Instance, contract: MenuContract, c: float) -> tuple[int, int]:
@@ -576,12 +566,7 @@ def _likelihood_outcomes(instance: Instance) -> tuple[list[int], np.ndarray]:
     return chosen, F
 
 
-def binary_action_optimal(
-    instance: Instance,
-    dist: TypeDistribution,
-    *,
-    tol: float = CURVATURE_TOL,
-) -> MenuContract:
+def binary_action_optimal(instance: Instance, dist: TypeDistribution) -> MenuContract:
     """Optimal contract for the two-non-null-action setting.
 
     Builds the virtual-welfare-maximizing rule, pays each recommended
@@ -631,7 +616,7 @@ def binary_action_optimal(
         profile_index=profile_index,
         u_bar=0.0,
     )
-    report = check_menu_ic(instance, contract, tol=tol)
+    report = check_menu_ic(instance, contract)
     if not report.passed:
         raise PreconditionError(
             "constructed contract failed the IC check "

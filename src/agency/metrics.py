@@ -20,8 +20,11 @@ from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, iro
 
 SIMPSON_PANELS = 256
 ALPHA_GRID = 2001
-#: Golden-section steps whose probes one ``f`` call prices.
-_GOLDEN_DEPTH = 5
+#: Golden-section steps whose probes one ``f`` call prices, and the bracket
+#: width where the search stops.
+_GOLDEN_DEPTH, _GOLDEN_TOL = 5, 1e-12
+#: Shares whose revenue :func:`compute_metrics` reports.
+REVENUE_PROBES = (0.1, 0.25, 0.5, 0.75, 0.9)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -31,7 +34,6 @@ def integrate_against(
     a: float,
     b: float,
     extra_breaks=(),
-    panels: int = SIMPSON_PANELS,
     include_atoms: bool = True,
     endpoint_inset: float = 1e-12,
 ) -> float:
@@ -39,7 +41,7 @@ def integrate_against(
 
     The continuous part is integrated segment by segment (segments split at
     density kinks and any extra breakpoints), each by the composite Simpson
-    rule with ``panels`` panels; atoms in [a, b] contribute
+    rule with :data:`SIMPSON_PANELS` panels; atoms in [a, b] contribute
     ``mass * f(location)``. Integrand and density are sampled a hair inside
     each segment (``endpoint_inset`` relative) so that nodes landing exactly
     on a kink take the segment-interior value. The nodes of all segments go
@@ -50,9 +52,10 @@ def integrate_against(
     if len(ends) > 1:
         lo, hi = np.asarray(ends[:-1]), np.asarray(ends[1:])
         delta = endpoint_inset * (hi - lo)
-        x = np.clip(np.linspace(lo, hi, 2 * panels + 1, axis=1), (lo + delta)[:, None], (hi - delta)[:, None]).ravel()
+        x = np.linspace(lo, hi, 2 * SIMPSON_PANELS + 1, axis=1)
+        x = np.clip(x, (lo + delta)[:, None], (hi - delta)[:, None]).ravel()
         y = (np.asarray(f(x)) * np.asarray(dist.pdf(x, side="right"))).reshape(len(lo), -1)
-        h = (hi - lo) / panels
+        h = (hi - lo) / SIMPSON_PANELS
         seg = h / 6.0 * (y[:, 0] + y[:, -1] + 4.0 * y[:, 1:-1:2].sum(axis=1) + 2.0 * y[:, 2:-2:2].sum(axis=1))
         for v in seg.tolist():  # one segment at a time: a numpy sum would round differently
             total += v
@@ -165,9 +168,7 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np
     return float(total[0]) if shares.ndim == 0 else total
 
 
-def linear_revenue_quadrature(
-    instance: Instance, dist: TypeDistribution, alpha: float, panels: int = SIMPSON_PANELS
-) -> float:
+def linear_revenue_quadrature(instance: Instance, dist: TypeDistribution, alpha: float) -> float:
     """Quadrature route for the same quantity, via pointwise argmax."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -182,9 +183,7 @@ def linear_revenue_quadrature(
     cont = 0.0
     if hi > lo:
         breaks = [alpha * z for z in _welfare_breakpoint_candidates(instance)]
-        cont = integrate_against(
-            dist, f, lo, hi, extra_breaks=breaks, panels=panels, include_atoms=False, endpoint_inset=1e-9
-        )
+        cont = integrate_against(dist, f, lo, hi, extra_breaks=breaks, include_atoms=False, endpoint_inset=1e-9)
     if dist.atoms:
         T = instance.expected_payments(alpha * instance.reward_array())
         cont = add_atom_revenue(cont, instance, dist, T[None, :])
@@ -274,7 +273,6 @@ def virtual_welfare_quadrature(
     dist: TypeDistribution,
     interval: tuple[float, float] | None = None,
     iv: IronedVirtualCost | None = None,
-    panels: int = SIMPSON_PANELS,
 ) -> float:
     """Quadrature route: integrate ``R - gamma * ironed_virtual_cost`` under
     the pointwise virtual argmax."""
@@ -298,7 +296,7 @@ def virtual_welfare_quadrature(
     breaks = list(virtual_rule(instance, iv).breakpoints)
     for flo, fhi, _ in iv.flats:
         breaks += [flo, fhi]
-    return integrate_against(dist, f, lo, hi, extra_breaks=breaks, panels=panels)
+    return integrate_against(dist, f, lo, hi, extra_breaks=breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +310,7 @@ def _golden_step(a: float, b: float, c: float, d: float, up: bool) -> tuple[floa
     return (a, d, d - _INV_PHI * (d - a), c) if up else (c, b, d, c + _INV_PHI * (b - c))
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
+def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi]; returns (argmax, value).
 
     ``f`` maps an array of points to their values, elementwise. One call
@@ -326,7 +324,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[flo
     fc, fd = f(np.asarray([c, d])).tolist()
     best_x, best_v = (c, fc) if fc >= fd else (d, fd)
     priced, k = [], 0
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if k >= len(priced):  # node k's children follow fc >= fd (2k+1) and fc < fd (2k+2)
             tree, probes = [(a, b, c, d, fc >= fd)], []
             for _ in range(_GOLDEN_DEPTH):
@@ -396,13 +394,9 @@ class Metrics:
         }
 
 
-def compute_metrics(
-    instance: Instance,
-    dist: TypeDistribution,
-    alphas: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9),
-) -> Metrics:
+def compute_metrics(instance: Instance, dist: TypeDistribution) -> Metrics:
     wel = welfare(instance, dist)
     vwel = None if dist.has_atoms else virtual_welfare(instance, dist)
     a_star, rev = best_linear(instance, dist)
-    apx = tuple(zip(map(float, alphas), linear_revenue(instance, dist, np.asarray(alphas)).tolist()))
+    apx = tuple(zip(REVENUE_PROBES, linear_revenue(instance, dist, np.asarray(REVENUE_PROBES)).tolist()))
     return Metrics(wel=wel, vwel=vwel, alpha_best=a_star, revenue_best=rev, apx_at=apx)

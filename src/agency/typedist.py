@@ -341,14 +341,7 @@ class TypeDistribution:
             return math.inf
         if float(self.cdf(lo)) >= q:
             return lo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.cdf(mid)) >= q:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-                break
+        hi = float(_bisect(lambda rows, x: np.asarray(self.cdf(x)) < q, [lo], [hi])[1][0])
         for a, _ in self.atoms:
             if abs(hi - a) <= 1e-9 * max(1.0, abs(a)) and float(self.cdf_left(a)) < q <= float(self.cdf(a)):
                 return a
@@ -581,41 +574,51 @@ class IronedVirtualCost:
         return float(out[0]) if np.ndim(q) == 0 else out
 
     def _bisect(self, qa: np.ndarray) -> np.ndarray:
-        """:meth:`inverse` at each level of ``qa``, by one bisection on all
-        levels together; each level stops once its bracket closes.
-
-        One ``value`` call prices every midpoint the next D rounds could
-        visit (2**D - 1 per live level, all inside its bracket, built with
-        the rounds' own ``0.5 * (lo + hi)``); :func:`_walk` resolves those
-        rounds by table lookup. D shrinks from :data:`_BISECT_DEPTH` to keep
-        a call within :data:`_BISECT_POINTS`.
-        """
+        """:meth:`inverse` at each level of ``qa``, by one :func:`_bisect` on
+        all levels together."""
         lo = np.full(qa.shape, self.c_low)
         hi = np.full(qa.shape, self.c_high)
         v_low, v_high = self.value(np.asarray([self.c_low, self.c_high]))
         below = qa < v_low
         above = qa >= v_high
         live = np.flatnonzero(~(below | above))
-        rounds = 0
-        while len(live) and rounds < 200:
-            depth = min(_BISECT_DEPTH, 200 - rounds, max(1, (_BISECT_POINTS // len(live) + 1).bit_length() - 1))
-            # column 2**d - 1 + j holds round d's midpoint j: raising lo there
-            # leads to midpoint j of round d + 1, lowering hi to j + 2**d
-            l, h = lo[live], hi[live]
-            L, H, mids = l[:, None], h[:, None], [0.5 * (l + h)[:, None]]
-            for _ in range(depth - 1):
-                L, H = np.concatenate([mids[-1], L], axis=1), np.concatenate([H, mids[-1]], axis=1)
-                mids.append(0.5 * (L + H))
-            mids = np.concatenate(mids, axis=1)
-            lefts = self.value(mids.ravel()).reshape(mids.shape) <= qa[live, None]
-            lo[live], hi[live], still = _walk(l, h, mids, lefts)
-            live, rounds = live[still], rounds + depth
+        q = qa[live]
+        lo[live], hi[live] = _bisect(lambda rows, x: self.value(x.ravel()).reshape(x.shape) <= q[rows, None],
+                                     lo[live], hi[live])
         # a bracket this tight that still contains a density kink means the
         # ironed virtual cost jumps across q there; the supremum is the kink
         kinks = np.asarray(self.dist.kinks())
         bracketed = (lo[:, None] <= kinks) & (kinks <= hi[:, None])
         out = np.where(bracketed.any(axis=1), kinks[bracketed.argmax(axis=1)], lo)
         return np.where(below, self.c_low, np.where(above, self.c_high, out))
+
+
+def _bisect(left, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets ``(lo, hi)`` after bisecting every ``[lo[k], hi[k]]`` for at
+    most 200 rounds; each stops once its bracket closes. ``left(rows, x)``
+    tells, for the brackets ``rows`` and a row of points ``x`` per bracket,
+    whether each point lies left of the bracket's target (lo moves up to it).
+
+    One ``left`` call prices every midpoint the next D rounds could visit
+    (2**D - 1 per open bracket, built with the rounds' own ``0.5 * (lo +
+    hi)``); :func:`_walk` resolves those rounds by table lookup. D shrinks
+    from :data:`_BISECT_DEPTH` to keep a call within :data:`_BISECT_POINTS`.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    live, rounds = np.arange(len(lo)), 0
+    while len(live) and rounds < 200:
+        depth = min(_BISECT_DEPTH, 200 - rounds, max(1, (_BISECT_POINTS // len(live) + 1).bit_length() - 1))
+        # column 2**d - 1 + j holds round d's midpoint j: raising lo there
+        # leads to midpoint j of round d + 1, lowering hi to j + 2**d
+        l, h = lo[live], hi[live]
+        L, H, mids = l[:, None], h[:, None], [0.5 * (l + h)[:, None]]
+        for _ in range(depth - 1):
+            L, H = np.concatenate([mids[-1], L], axis=1), np.concatenate([H, mids[-1]], axis=1)
+            mids.append(0.5 * (L + H))
+        mids = np.concatenate(mids, axis=1)
+        lo[live], hi[live], still = _walk(l, h, mids, left(live, mids))
+        live, rounds = live[still], rounds + depth
+    return lo, hi
 
 
 def _walk_tables(depth: int) -> tuple[np.ndarray, ...]:
@@ -676,7 +679,7 @@ def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
     return hull
 
 
-def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCost:
+def iron(dist: TypeDistribution) -> IronedVirtualCost:
     """Iron the virtual cost in quantile space (Myerson 1981).
 
     For an atom-free G the integrated virtual cost is exact without
@@ -692,15 +695,13 @@ def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCos
     """
     if dist.has_atoms:
         raise AtomPresentError("ironing requires an atom-free distribution")
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
     lo, hi = dist.c_low, dist.effective_high()
     ends = np.asarray([lo, *(k for k in dist.kinks() if lo < k < hi), hi])
     # drop zero-density stretches at the ends: the grid runs from the last
     # kink with G = 0 to the first with G = G(hi)
     G_ends = np.asarray(dist.cdf(ends), dtype=float)
     ends = ends[np.flatnonzero(G_ends > G_ends[0])[0] - 1 : np.flatnonzero(G_ends < G_ends[-1])[-1] + 2]
-    grid = np.unique(np.concatenate([np.linspace(ends[0], ends[-1], grid_size), ends[1:-1]]))
+    grid = np.unique(np.concatenate([np.linspace(ends[0], ends[-1], IRON_GRID), ends[1:-1]]))
     G = np.asarray(dist.cdf(grid), dtype=float)
     cG = grid * G
 
@@ -723,6 +724,6 @@ def iron(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCos
 
 
 @lru_cache(maxsize=64)
-def ironed(dist: TypeDistribution, grid_size: int = IRON_GRID) -> IronedVirtualCost:
+def ironed(dist: TypeDistribution) -> IronedVirtualCost:
     """Cached :func:`iron`; distributions are immutable so this is safe."""
-    return iron(dist, grid_size)
+    return iron(dist)

@@ -8,9 +8,9 @@ equal values where the grid contains an optimum. Likewise the type-grid
 menu IC check: the exact check's worst values are suprema over every type,
 so they are at least the grid's.
 
-Sequential searches, one step per call: the bisection behind
-``IronedVirtualCost.inverse`` and the golden-section polish of
-``best_linear``. The batched searches must return the same bits. Within one
+Sequential searches, one step per call: the bisections behind
+``IronedVirtualCost.inverse`` and ``TypeDistribution.quantile``, and the
+golden-section polish of ``best_linear``. The batched searches must return the same bits. Within one
 bisection chunk, the rounds walked one at a time over the stored midpoints
 and comparisons: the table lookup must give the same brackets.
 
@@ -39,7 +39,7 @@ from agency.incentives import (
     menu_path,
 )
 from agency.instance import TIE_TOL, Instance, best_responses
-from agency.typedist import IronedVirtualCost
+from agency.typedist import IronedVirtualCost, TypeDistribution
 
 
 @dataclass(frozen=True)
@@ -271,6 +271,40 @@ def bisect_one_round_per_call(iv: IronedVirtualCost, qa: np.ndarray) -> np.ndarr
     bracketed = (lo[:, None] <= kinks) & (kinks <= hi[:, None])
     out = np.where(bracketed.any(axis=1), kinks[bracketed.argmax(axis=1)], lo)
     return np.where(below, iv.c_low, np.where(above, iv.c_high, out))
+
+
+def quantile_one_round_per_call(dist: TypeDistribution, q: float) -> float:
+    """``dist.quantile(q)``, bisecting with one scalar ``cdf`` call per round."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile level must be in [0, 1]")
+    if q == 0.0:
+        return dist.c_low
+    if len(dist.parts) == 1 and not dist.atoms:
+        return dist.parts[0][1].quantile(q)
+    lo = dist.c_low
+    hi = dist.c_high
+    if math.isinf(hi):
+        hi = max((p.quantile(min(q + (1 - q) / 2, 1 - 1e-15)) if math.isinf(p.support()[1]) else p.support()[1])
+                 for _, p in dist.parts)
+        hi = max(hi, lo + 1.0)
+        while float(dist.cdf(hi)) < q and math.isfinite(hi):
+            hi *= 2.0
+    if float(dist.cdf(hi)) < q:
+        return math.inf
+    if float(dist.cdf(lo)) >= q:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(dist.cdf(mid)) >= q:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    for a, _ in dist.atoms:
+        if abs(hi - a) <= 1e-9 * max(1.0, abs(a)) and float(dist.cdf_left(a)) < q <= float(dist.cdf(a)):
+            return a
+    return hi
 
 
 def walk_one_round_at_a_time(l: np.ndarray, h: np.ndarray, mids: np.ndarray, lefts: np.ndarray):

@@ -219,12 +219,10 @@ class TestCheckIc:
         assert "breakpoints" in err
 
 
-def test_grid_env_override(instance_file, capsys, monkeypatch):
+def test_grid_env_ignored(instance_file, capsys, monkeypatch):
+    # the scan density is a constant: the environment cannot change a report
+    _, plain, _ = run(["analyze", "--instance", instance_file], capsys)
     monkeypatch.setenv("AGENCY_GRID", "512")
     code, out, _ = run(["analyze", "--instance", instance_file], capsys)
     assert code == 0
-    assert json.loads(out)["tolerances"]["scan_points"] == 512
-    monkeypatch.setenv("AGENCY_GRID", "unparseable")
-    code, _, err = run(["analyze", "--instance", instance_file], capsys)
-    assert code == 1
-    assert "AGENCY_GRID" in err
+    assert out == plain

@@ -32,6 +32,7 @@ from agency import (
     virtual_welfare,
     welfare,
 )
+from agency.conditions import SCAN_POINTS
 from agency.examples import scaling_uniform
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
@@ -137,8 +138,8 @@ class TestLinearBounded:
         dist = piecewise([(0, 5, 0.1), (5, 6, 0.5)])
         iv, sizes, value = iron(dist), [], IronedVirtualCost.value
         monkeypatch.setattr(IronedVirtualCost, "value", lambda self, c: sizes.append(np.size(c)) or value(self, c))
-        linear_bounded_params(dist, iv, scan_points=512)
-        assert sum(n >= 512 for n in sizes) == 1
+        linear_bounded_params(dist, iv)
+        assert sum(n >= SCAN_POINTS for n in sizes) == 1
 
     def test_sandwich_property(self):
         for dist in (uniform(0, 4), truncated_normal(0.5, 1.5, 0.0)):

@@ -35,7 +35,7 @@ from agency import (
     welfare,
 )
 from agency import incentives
-from agency.allocation import AllocationRule
+from agency.allocation import AllocationRule, _crossings
 from agency.incentives import menu_induced_pieces, menu_selection
 from agency.examples import menu as menu_example
 from agency.examples import non_implementable
@@ -140,7 +140,7 @@ class TestCurvature:
             g = rng.choice([0.0, 0.5, 1.0, 1.7, 2.5], k)  # repeated slopes never cross
             T = rng.uniform(0.0, 10.0, k)
             want = [(T[i] - T[j]) / (g[i] - g[j]) for i, j in combinations(range(k), 2) if g[i] != g[j]]
-            got = incentives._crossings(T, g, 0.5, 6.0)
+            got = _crossings(T, g, 0.5, 6.0)
             assert got.tobytes() == np.asarray([x for x in want if 0.5 < x < 6.0], dtype=float).tobytes()
 
 

@@ -29,7 +29,7 @@ from agency import (
 )
 
 from agency.typedist import _walk
-from oracles import bisect_one_round_per_call, walk_one_round_at_a_time
+from oracles import bisect_one_round_per_call, quantile_one_round_per_call, walk_one_round_at_a_time
 
 
 def run_probe(code: str) -> subprocess.CompletedProcess:
@@ -243,10 +243,6 @@ class TestIron:
         with pytest.raises(AtomPresentError):
             iron(mixture([(0.5, point_mass(1.0)), (0.5, uniform(0, 2))]))
 
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            iron(uniform(0, 1), grid_size=32)
-
 
 class TestIronInverse:
     def test_uniform(self):
@@ -407,6 +403,20 @@ class TestQuantile:
         d = truncated_normal(1, 2, 0)
         for q in (0.1, 0.5, 0.93):
             assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-9)
+
+    @pytest.mark.parametrize("dist", [
+        mixture([(0.5, point_mass(1.0)), (0.5, uniform(0, 2))]),
+        mixture([(0.2, point_mass(0.5)), (0.3, point_mass(3.0)), (0.5, piecewise([(0, 1, 0.4), (1, 4, 0.2)]))]),
+        mixture([(0.4, uniform(0, 3)), (0.6, uniform(5, 9))]),
+        mixture([(0.3, exponential(2.0)), (0.7, uniform(1, 2))]),
+        mixture([(0.25, point_mass(2.0)), (0.25, truncated_normal(1, 2, 0)), (0.5, exponential(0.5))]),
+    ], ids=["atom_uniform", "atoms_piecewise", "gapped", "exponential_uniform", "atom_unbounded"])
+    def test_matches_one_round_per_call(self, dist):
+        # the batched bisection compares the same midpoints in the same
+        # order, so it returns the same bits, atom plateaus and CDF jumps too
+        levels = [*np.linspace(0.0, 1.0, 301).tolist(), 1e-12, 1.0 - 1e-12,
+                  *(float(dist.cdf(a)) for a, _ in dist.atoms), *(float(dist.cdf_left(a)) for a, _ in dist.atoms)]
+        assert [dist.quantile(q) for q in levels] == [quantile_one_round_per_call(dist, q) for q in levels]
 
 
 class TestRhr:
