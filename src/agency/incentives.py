@@ -7,8 +7,10 @@ integral of the rule and U_t for the agent's utility envelope under t, the
 integral from c to c' equals ``h(c) - h(c')`` with ``h = W - U_t``; both
 terms are piecewise linear, so the worst deviation is found exactly at the
 kinks of h. Over all payments at once, the least worst deviation and the
-best contract for a distribution of atoms are small LPs (HiGHS through
-``scipy.optimize``), decided for every ``t >= 0`` rather than on a grid.
+best contract for a distribution of atoms are small LPs, decided for every
+``t >= 0`` rather than on a grid by the package's own dense simplex; its
+float answer only picks the active set, and a certificate holds only when
+the dual solved on that set in ``Fraction`` proves it.
 A menu's selection gap and D* kink only where two of its (action, profile)
 lines cross, so its IC is checked exactly there and at its breakpoints.
 """
@@ -155,13 +157,61 @@ def curvature_check(
 # exact LPs: non-implementability certificates and best contracts
 
 
-def _linprog(cost, A_ub, b_ub, bounds):
-    """HiGHS and its status name (``scipy.optimize`` is imported here only:
-    the import alone takes longer than importing ``agency``)."""
-    from scipy.optimize import linprog
+_LP_TOL, _LP_PIVOTS = 1e-9, 1000
 
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    return res, ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical_difficulties")[res.status]
+
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    T[r] /= T[r, j]
+    T -= np.outer(np.where(np.arange(len(T)) == r, 0.0, T[:, j]), T[r])
+    basis[r] = j
+
+
+def _simplex(T: np.ndarray, basis: np.ndarray, c: np.ndarray, cols: int) -> str:
+    """Minimize ``c`` on tableau ``T`` (values in the last column) by Bland's
+    rule: the lowest-index improving column among the first ``cols`` enters,
+    and the lowest-index basic variable leaves among ratio ties: no cycles."""
+    T[-1] = c - c[basis] @ T[:-1]  # the reduced costs
+    for _ in range(_LP_PIVOTS):
+        enter = np.flatnonzero(T[-1, :cols] < -_LP_TOL)
+        if not len(enter):
+            return "optimal"
+        rows = np.flatnonzero(T[:-1, enter[0]] > _LP_TOL)
+        if not len(rows):
+            return "unbounded"
+        ratio = T[rows, -1] / T[rows, enter[0]]
+        _pivot(T, basis, min(rows[ratio == ratio.min()], key=basis.__getitem__), enter[0])
+    return "iteration_limit"
+
+
+def _linprog(cost, A_ub, b_ub, free: int = 0):
+    """``min cost.x`` over ``A_ub x <= b_ub``, ``x >= 0`` but for the last
+    ``free`` entries, each split into a +/- pair: ``(x, marginals, status)``,
+    marginals being the row duals d cost / d b_ub <= 0 as HiGHS reports them,
+    both None unless optimal. A dense two-phase tableau simplex: phase 1 drives
+    out an artificial column per row with a negative bound."""
+    A, b = np.asarray(A_ub, dtype=float), np.asarray(b_ub, dtype=float)
+    (k, m), neg = A.shape, np.flatnonzero(b < 0)
+    n, art = m + free, m + free + k + neg
+    T = np.zeros((k + 1, n + 2 * k + 1))
+    T[:k, :n], T[:k, n:n + k], T[:k, -1] = np.hstack([A, -A[:, m - free:]]), np.eye(k), b
+    T[neg] *= -1.0
+    T[neg, art] = 1.0
+    basis = np.where(b < 0, n + k, n) + np.arange(k)
+    c = np.r_[np.zeros(n + k), np.ones(k), 0.0]
+    status = _simplex(T, basis, c, n + k)  # phase 1: the artificials' sum
+    if status == "optimal" and T[k, -1] < -_LP_TOL:
+        status = "infeasible"
+    if status == "optimal":
+        for r in np.flatnonzero(basis >= n + k):  # an artificial left at zero
+            _pivot(T, basis, r, int(np.argmax(np.abs(T[r, :n + k]))))
+        c[:n], c[n:] = np.append(cost, -np.asarray(cost, dtype=float)[m - free:]), 0.0
+        status = _simplex(T, basis, c, n + k)
+    if status != "optimal":
+        return None, None, status
+    x = np.zeros(T.shape[1])
+    x[basis] = T[:k, -1]
+    x[m - free:m] -= x[m:n]
+    return x[:m], -T[k, n:n + k], status
 
 
 def _payments(x: np.ndarray) -> tuple[float, ...]:
@@ -266,13 +316,13 @@ def certify_non_implementable_at(instance: Instance, rule: AllocationRule, c: fl
     g, knots = instance.gamma_array(), path.knots
     b = np.min(path.tail_effort(knots) + g[:, None] * knots, axis=1) - path.tail_effort(c) - g[a] * c
     k, m = A.shape
-    res, status = _linprog(np.append(np.zeros(m), 1.0), np.block([[A, -np.ones((k, 1))], [A, np.zeros((k, 1))]]),
-                           np.concatenate([b, d]), [(0.0, None)] * m + [(None, None)])
-    if res.status != 0:
+    x, marginals, status = _linprog(np.append(np.zeros(m), 1.0),
+                                    np.block([[A, -np.ones((k, 1))], [A, np.zeros((k, 1))]]), np.concatenate([b, d]), 1)
+    if status != "optimal":
         return Certificate(False, float(c), None, None, CURVATURE_TOL, status, None)
-    t = _payments(res.x[:m])
+    t = _payments(x[:m])
     chk = curvature_check(instance, rule, c, t)
-    dual = -res.ineqlin.marginals + 0.0
+    dual = -marginals + 0.0
     Ax = _exact_rows(instance, a)
     w = _active_set_dual(Ax, dual, t)
     bound = None if w is None else _dual_bound(Ax, b, d, w)
@@ -302,10 +352,10 @@ def best_contract(instance: Instance, dist: TypeDistribution) -> tuple[float, tu
     best = (-math.inf, None, "infeasible")
     for acts in product(range(instance.n + 1), repeat=len(dist.atoms)):
         rows = [_best_response_rows(instance, a, c) for (c, _), a in zip(dist.atoms, acts)]
-        res, status = _linprog(sum(p * F[a] for (_, p), a in zip(dist.atoms, acts)),
-                               np.concatenate([A for A, _ in rows]), np.concatenate([d for _, d in rows]), (0.0, None))
-        if res.status == 0:
-            t = _payments(res.x)
+        x, _, status = _linprog(sum(p * F[a] for (_, p), a in zip(dist.atoms, acts)),
+                                np.concatenate([A for A, _ in rows]), np.concatenate([d for _, d in rows]))
+        if status == "optimal":
+            t = _payments(x)
             revenue = float(add_atom_revenue(0.0, instance, dist, instance.expected_payments(t)[None, :]))
             if revenue > best[0]:
                 best = (revenue, t, status)

@@ -14,6 +14,9 @@ golden-section polish of ``best_linear``. The batched searches must return the s
 bisection chunk, the rounds walked one at a time over the stored midpoints
 and comparisons: the table lookup must give the same brackets.
 
+HiGHS through ``scipy.optimize`` behind the certificate and audit LPs: the
+package's own simplex must reach the same statuses and optimal values.
+
 The lower convex hull behind ``iron`` as a plain monotone chain that visits
 every point, and the flats built from it pair by pair: the chain that pushes
 runs of left turns in bulk, and the flats built in one array pass, must
@@ -213,6 +216,15 @@ def grid_best_contract(
             best_rev = float(rev[k])
             best_t = (0.0, *[float(v) for v in t_rest[k]])
     return best_rev, best_t
+
+
+def highs_linprog(cost, A_ub, b_ub, bounds):
+    """HiGHS and its status name (``scipy.optimize`` is imported here only:
+    the import alone takes longer than importing ``agency``)."""
+    from scipy.optimize import linprog
+
+    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    return res, ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical_difficulties")[res.status]
 
 
 def grid_menu_ic(

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,7 +43,7 @@ from agency.examples import non_implementable
 from agency.metrics import integrate_against
 
 from conftest import random_binary_action_instance, random_instance, welfare_top
-from oracles import grid_best_contract, grid_certificate, grid_menu_ic
+from oracles import grid_best_contract, grid_certificate, grid_menu_ic, highs_linprog
 
 
 def appx_non_implement():
@@ -217,9 +218,9 @@ class TestCertificate:
         solve = incentives._linprog
 
         def nudged(*args):
-            res, status = solve(*args)
-            res.ineqlin.marginals[int(np.argmin(res.ineqlin.marginals))] *= scale
-            return res, status
+            x, marginals, status = solve(*args)
+            marginals[int(np.argmin(marginals))] *= scale
+            return x, marginals, status
 
         monkeypatch.setattr(incentives, "_linprog", nudged)
         cert = certify_non_implementable_at(inst, rule, 4.0)
@@ -245,18 +246,25 @@ class TestCertificate:
         rng = np.random.default_rng(7)
         positive = 0
         for _ in range(150):
-            k = int(rng.integers(4, 6))
-            rows = [(1.0, 0.0, 0.0)] + [tuple(rng.dirichlet(np.ones(3))) for _ in range(k - 1)]
-            inst = Instance(gammas=(0.0, *np.cumsum(rng.uniform(0.2, 2.0, k - 1))),
-                            rewards=(0.0, *np.sort(rng.uniform(1, 10, 2))), outcome_probs=tuple(rows))
-            top = float(rng.uniform(2, 10))
-            rule = AllocationRule(breakpoints=(top, 0.0), actions=(int(rng.integers(1, k - 1)),))
-            cert = certify_non_implementable_at(inst, rule, top * float(rng.uniform(0.05, 0.95)))
+            inst, rule, anchor = _dirichlet_anchor(rng)
+            cert = certify_non_implementable_at(inst, rule, anchor)
             if cert.min_dstar is not None and cert.min_dstar > cert.tolerance:
                 positive += 1
-                assert any(sum(map(Fraction, row)) != 1 for row in rows)
+                assert any(sum(map(Fraction, row)) != 1 for row in inst.outcome_probs)
                 assert cert.certified and cert.lp_status == "optimal"
         assert positive == 20
+
+
+def _dirichlet_anchor(rng: np.random.Generator) -> tuple[Instance, AllocationRule, float]:
+    """Four or five actions whose outcome rows are drawn from a Dirichlet, a
+    one-action rule on ``(0, top]`` and an anchor inside it."""
+    k = int(rng.integers(4, 6))
+    rows = [(1.0, 0.0, 0.0)] + [tuple(rng.dirichlet(np.ones(3))) for _ in range(k - 1)]
+    inst = Instance(gammas=(0.0, *np.cumsum(rng.uniform(0.2, 2.0, k - 1))),
+                    rewards=(0.0, *np.sort(rng.uniform(1, 10, 2))), outcome_probs=tuple(rows))
+    top = float(rng.uniform(2, 10))
+    rule = AllocationRule(breakpoints=(top, 0.0), actions=(int(rng.integers(1, k - 1)),))
+    return inst, rule, top * float(rng.uniform(0.05, 0.95))
 
 
 def _small_instance(rng: np.random.Generator) -> Instance:
@@ -271,10 +279,9 @@ def _small_instance(rng: np.random.Generator) -> Instance:
     return Instance(gammas=tuple(gammas), rewards=rewards, outcome_probs=tuple(rows))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_lp_certificate_against_grid(seed):
-    rng = np.random.default_rng(seed)
+def _dyadic_anchor(rng: np.random.Generator) -> tuple[Instance, AllocationRule, float]:
+    """A :func:`_small_instance`, a rule on quarter-step breakpoints over some
+    of its actions, and an anchor at an eighth of one of the rule's intervals."""
     inst = _small_instance(rng)
     top = int(rng.integers(8, 41))  # in quarters
     actions = tuple(sorted(rng.choice(inst.n + 1, int(rng.integers(1, inst.n + 2)), replace=False)))
@@ -282,7 +289,18 @@ def test_lp_certificate_against_grid(seed):
     rule = AllocationRule(breakpoints=(top / 4.0, *cuts, 0.0), actions=actions)
     k = int(rng.integers(len(actions)))
     lo, hi = rule.breakpoints[k + 1], rule.breakpoints[k]
-    anchor = lo + (hi - lo) * int(rng.integers(1, 8)) / 8.0
+    return inst, rule, lo + (hi - lo) * int(rng.integers(1, 8)) / 8.0
+
+
+def _two_atoms(rng: np.random.Generator) -> TypeDistribution:
+    mass = float(rng.uniform(0.05, 0.95))
+    return TypeDistribution(parts=(), atoms=tuple(sorted(zip(rng.uniform(0.0, 3.0, 2), (mass, 1.0 - mass)))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lp_certificate_against_grid(seed):
+    inst, rule, anchor = _dyadic_anchor(np.random.default_rng(seed))
     cert = certify_non_implementable_at(inst, rule, anchor)
     oracle = grid_certificate(inst, rule, anchor, step=max(inst.rewards) / 60.0)
     if oracle.min_dstar is not None:
@@ -298,8 +316,7 @@ def test_lp_certificate_against_grid(seed):
 def test_lp_best_contract_against_grid(seed):
     rng = np.random.default_rng(seed)
     inst = _small_instance(rng)
-    mass = float(rng.uniform(0.05, 0.95))
-    dist = TypeDistribution(parts=(), atoms=tuple(sorted(zip(rng.uniform(0.0, 3.0, 2), (mass, 1.0 - mass)))))
+    dist = _two_atoms(rng)
     revenue, t, status = best_contract(inst, dist)
     oracle, _ = grid_best_contract(inst, dist.atoms, (0.0, 2.0 * max(inst.rewards)), max(inst.rewards) / 50.0)
     assert status == "optimal"
@@ -307,6 +324,114 @@ def test_lp_best_contract_against_grid(seed):
     # the reported revenue is t's own, each atom answering by the tie order
     assert revenue == pytest.approx(sum(p * best_response(inst, t, c).principal_utility for c, p in dist.atoms),
                                     abs=1e-12)
+
+
+def _highs(cost, A_ub, b_ub, free=0):
+    """:func:`incentives._linprog`'s interface on HiGHS."""
+    res, status = highs_linprog(cost, A_ub, b_ub, [(0.0, None)] * (len(cost) - free) + [(None, None)] * free)
+    return (res.x, res.ineqlin.marginals, status) if res.status == 0 else (None, None, status)
+
+
+def _on_both_solvers(monkeypatch, fn, *args):
+    """``fn(*args)`` on the package's simplex, then on HiGHS."""
+    ours = fn(*args)
+    with monkeypatch.context() as m:
+        m.setattr(incentives, "_linprog", _highs)
+        return ours, fn(*args)
+
+
+def test_certificates_match_highs(monkeypatch):
+    # the simplex only finds the active set that the exact recheck certifies,
+    # so on both generators' anchors it must decide as HiGHS does; degenerate
+    # optima may report another dual vector
+    rng = np.random.default_rng(15)
+    decided = Counter()
+    for case in [_dyadic_anchor] * 1000 + [_dirichlet_anchor] * 1000:
+        ours, highs = _on_both_solvers(monkeypatch, certify_non_implementable_at, *case(rng))
+        assert (ours.lp_status, ours.certified) == (highs.lp_status, highs.certified)
+        assert (ours.min_dstar is None) == (highs.min_dstar is None)
+        if ours.min_dstar is not None:
+            assert ours.min_dstar == pytest.approx(highs.min_dstar, abs=1e-9)
+        decided[ours.lp_status, ours.certified] += 1
+    assert decided == {("optimal", True): 163, ("optimal", False): 1646, ("infeasible", False): 191}
+
+
+def test_best_contracts_match_highs(monkeypatch):
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        (revenue, _, status), (oracle, _, oracle_status) = _on_both_solvers(
+            monkeypatch, best_contract, _small_instance(rng), _two_atoms(rng))
+        assert status == oracle_status == "optimal"
+        assert revenue == pytest.approx(oracle, abs=1e-9)
+
+
+class TestSimplex:
+    """The LP kernel behind the certificate and the audit, on hand-solved LPs."""
+
+    def test_beale_cycling_example_reaches_the_optimum(self):
+        # Beale (1955): the largest-coefficient rule with lowest-index ties
+        # cycles here; Bland's rule must not
+        cost = np.array([-0.75, 20.0, -0.5, 6.0])
+        A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+        x, marginals, status = incentives._linprog(cost, A, np.array([0.0, 0.0, 1.0]))
+        assert status == "optimal"
+        assert x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12) and cost @ x == pytest.approx(-1.25, abs=1e-12)
+        assert marginals == pytest.approx([0.0, -1.5, -1.25], abs=1e-12)
+
+    def test_infeasible(self):
+        # x1 <= 1 and x1 >= 2
+        x, marginals, status = incentives._linprog(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                                                   np.array([1.0, -2.0]))
+        assert status == "infeasible" and x is None and marginals is None
+
+    def test_unbounded(self):
+        x, _, status = incentives._linprog(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]))
+        assert status == "unbounded" and x is None
+
+    def test_free_variable_goes_negative(self):
+        # min s over s >= -t - 2 and s >= 2t - 8: t = 2, s = -4, duals -2/3 and -1/3
+        x, marginals, status = incentives._linprog(np.array([0.0, 1.0]), np.array([[-1.0, -1.0], [2.0, -1.0]]),
+                                                   np.array([2.0, 8.0]), 1)
+        assert status == "optimal"
+        assert x == pytest.approx([2.0, -4.0], abs=1e-12)
+        assert marginals == pytest.approx([-2.0 / 3.0, -1.0 / 3.0], abs=1e-12)
+
+    def test_degenerate_ratio_tie_leaves_the_lowest_index(self):
+        # x1 enters with the ratios 1/1 and 2/2 tied: the first row's slack
+        # leaves, so the second row's stays basic at zero and its dual is zero
+        x, marginals, status = incentives._linprog(np.array([-1.0, 0.0]), np.array([[1.0, 0.0], [2.0, 0.0]]),
+                                                   np.array([1.0, 2.0]))
+        assert status == "optimal"
+        assert x.tolist() == [1.0, 0.0] and marginals.tolist() == [-1.0, 0.0]
+
+    def test_certificate_lp(self, monkeypatch):
+        # non_implementable at c = 4: t* = (0, 4, 20) is the optimal face's one
+        # vertex, D* = 5.5, and rows 3 (A t - s <= b) and 1 (A t <= d) prove it
+        ex = non_implementable()
+        rule = virtual_rule(ex.instance, iron(ex.distributions["piecewise"]))
+        calls = []
+        solve = incentives._linprog
+
+        def spy(*args):
+            calls.append(solve(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(incentives, "_linprog", spy)
+        certify_non_implementable_at(ex.instance, rule, 4.0)
+        (x, marginals, status), = calls
+        assert status == "optimal"
+        assert x == pytest.approx([0.0, 4.0, 20.0, 5.5], abs=1e-12)
+        assert marginals == pytest.approx([0, 0, 0, -1, 0, -1, 0, 0], abs=1e-12)
+
+    def test_best_contract_lp(self):
+        # two atoms at c = 1 and 2 both take action 1, which needs t1 - t0 >= 2c:
+        # the cheapest t is (0, 4), and only the c = 2 row binds, with dual -1
+        inst = Instance(gammas=(0.0, 1.0), rewards=(0.0, 4.0), outcome_probs=((1.0, 0.0), (0.5, 0.5)))
+        rows = [incentives._best_response_rows(inst, 1, c) for c in (1.0, 2.0)]
+        x, marginals, status = incentives._linprog(inst.prob_matrix()[1], np.concatenate([A for A, _ in rows]),
+                                                   np.concatenate([d for _, d in rows]))
+        assert status == "optimal"
+        assert x.tolist() == [0.0, 4.0] and marginals.tolist() == [0.0, 0.0, -1.0, 0.0]
 
 
 class TestMenus:

@@ -158,18 +158,29 @@ class TestTruncatedNormal:
         assert out.stdout.strip() == "False"
 
     def test_library_commands_leave_scipy_optimize_unimported(self):
-        # only the LPs of the certificate and the audit import the solver
-        inst = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "inputs", "uniform.json")
+        # the certificate and audit LPs are solved in the package, so no
+        # command imports the solver, and no module names it
+        inputs = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "inputs")
+        inst, menu = (os.path.join(inputs, f) for f in ("uniform.json", "menu5_instance.json"))
         probe = (
             "import contextlib, io, sys\n"
+            "from agency import EXAMPLE_IDS\n"
             "from agency.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['verify', '--instance', {inst!r}, '--theorem', 'upper_n']) == 0\n"
             f"    assert main(['analyze', '--instance', {inst!r}]) == 0\n"
-            "print('scipy.optimize' in sys.modules)"
+            f"    assert main(['check-ic', '--instance', {menu!r}, '--contract', {menu.replace('instance', 'contract')!r}]) == 0\n"
+            "    for example in EXAMPLE_IDS:\n"
+            "        assert main(['reproduce', example]) == 0\n"
+            "print(len(EXAMPLE_IDS), 'scipy.optimize' in sys.modules)"
         )
         out = run_probe(probe)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "6 False"
+        package = os.path.dirname(os.path.abspath(agency.__file__))
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as f:
+                    assert "scipy.optimize" not in f.read(), name
 
 
 class TestVirtualCost:
