@@ -2,7 +2,8 @@
 
 Each condition is an inf/sup of a CDF or virtual-cost ratio over a cost
 range, estimated by a dense scan (:data:`SCAN_POINTS` points plus every
-distribution landmark) followed by rounds of local trisection refinement.
+distribution landmark) followed by :data:`REFINE_ROUNDS` rounds of 65 points
+each around the best point so far; a sup and an inf share every call.
 Verdicts record the measured parameters, the implied guarantee, and
 whether the guaranteed inequality holds on the concrete instance.
 """
@@ -10,7 +11,7 @@ whether the guaranteed inequality holds on the concrete instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,45 +43,30 @@ class ConditionReport:
     scan_points = SCAN_POINTS
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "witness": self.witness,
-            "params": dict(self.params),
-            "scan_points": self.scan_points,
-        }
+        return {**asdict(self), "scan_points": self.scan_points}
 
 
-def _scan(f, lo: float, hi: float, extras=()) -> tuple[np.ndarray, np.ndarray]:
-    """:data:`SCAN_POINTS` even points of [lo, hi] plus the extras inside it, and f there."""
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, SCAN_POINTS), [e for e in extras if lo <= e <= hi]]))
-    with np.errstate(all="ignore"):
-        return xs, np.asarray(f(xs), dtype=float)
-
-
-def _scan_min(f, xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Minimize a piecewise-smooth f by refinement around the best scanned value."""
-    vals = np.where(np.isfinite(vals), vals, np.inf)
-    k = int(np.argmin(vals))
-    best_x, best_v = float(xs[k]), float(vals[k])
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, len(xs) - 1)]
-    for _ in range(REFINE_ROUNDS):
-        sub = np.linspace(a, b, 65)
+def _extremes(f, lo: float, hi: float, extras, signs=(1.0,)) -> list[tuple[float, float]]:
+    """The inf (sign 1.0) or sup (sign -1.0) of a piecewise-smooth f on [lo, hi]
+    per sign, as ``(x, f(x))``: one scan of :data:`SCAN_POINTS` even points plus
+    the extras inside [lo, hi], shared by every sign, then :data:`REFINE_ROUNDS`
+    rounds of 65 points around each sign's best point so far, every sign's
+    points priced in one f call per round. Non-finite values never win."""
+    grids = [np.unique(np.concatenate([np.linspace(lo, hi, SCAN_POINTS), [e for e in extras if lo <= e <= hi]]))]
+    best, brackets = [None] * len(signs), [None] * len(signs)
+    for rnd in range(REFINE_ROUNDS + 1):
+        if rnd:
+            grids = [np.linspace(a, b, 65) for a, b in brackets]
         with np.errstate(all="ignore"):
-            sv = np.asarray(f(sub), dtype=float)
-        sv = np.where(np.isfinite(sv), sv, np.inf)
-        j = int(np.argmin(sv))
-        if float(sv[j]) < best_v:
-            best_x, best_v = float(sub[j]), float(sv[j])
-        a = sub[max(j - 1, 0)]
-        b = sub[min(j + 1, len(sub) - 1)]
-    return best_x, best_v
-
-
-def _scan_max(f, xs, vals):
-    x, v = _scan_min(lambda c: -np.asarray(f(c), dtype=float), xs, -vals)
-    return x, -v
+            vals = np.asarray(f(np.concatenate(grids)), dtype=float).reshape(len(grids), -1)
+        for i, s in enumerate(signs):
+            x, v = grids[i % len(grids)], s * vals[i % len(grids)]  # the scan's one grid serves every sign
+            v = np.where(np.isfinite(v), v, np.inf)
+            j = int(np.argmin(v))
+            if not rnd or v[j] < best[i][1]:
+                best[i] = float(x[j]), float(v[j])
+            brackets[i] = x[max(j - 1, 0)], x[min(j + 1, len(x) - 1)]
+    return [(x, s * v) for s, (x, v) in zip(signs, best)]
 
 
 def _landmarks(dist: TypeDistribution, alpha: float = 1.0) -> list[float]:
@@ -106,7 +92,7 @@ def _slow_beta(kind: str, dist: TypeDistribution, upper, alpha: float, kappa: fl
             return np.where(den > 1e-300, num / den, np.nan)
 
     lo = max(kappa, dist.c_low)
-    x, v = _scan_min(ratio, *_scan(ratio, lo, max(hi, lo + 1e-12), _landmarks(dist, alpha)))
+    (x, v), = _extremes(ratio, lo, max(hi, lo + 1e-12), _landmarks(dist, alpha))
     if not math.isfinite(v):
         v, x = 1.0, lo  # G vanishes on the whole range: vacuous condition
     return ConditionReport(
@@ -162,9 +148,7 @@ def _linear_bounded(iv: IronedVirtualCost, dist: TypeDistribution, kappa: float)
         with np.errstate(all="ignore"):
             return np.where(vb > 0, c / vb, np.nan)
 
-    scan = _scan(ratio, lo, hi, _landmarks(dist))  # shared by the sup and the inf
-    x_sup, alpha = _scan_max(ratio, *scan)
-    x_inf, beta = _scan_min(ratio, *scan)
+    (x_sup, alpha), (x_inf, beta) = _extremes(ratio, lo, hi, _landmarks(dist), (-1.0, 1.0))
     unbounded = not math.isfinite(dist.c_high)
     return ConditionReport(
         kind="linear-bounded",
@@ -227,7 +211,7 @@ def rhr_bound_alpha_hat(dist: TypeDistribution) -> ConditionReport:
         with np.errstate(all="ignore"):
             return np.where((g > 0) & (c > 0), G / (c * g), np.nan)
 
-    x, v = _scan_min(ratio, *_scan(ratio, lo, hi, _landmarks(dist)))
+    (x, v), = _extremes(ratio, lo, hi, _landmarks(dist))
     grid = np.linspace(lo, hi, 512)
     phi = np.asarray(dist.virtual_cost(grid), dtype=float)
     slack = float(np.min(phi - (1.0 + v) * grid))
@@ -262,46 +246,15 @@ class TheoremVerdict:
     tolerance = VERDICT_TOL
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "hypothesis_ok": self.hypothesis_ok,
-            "notes": list(self.notes),
-            "guarantee": self.guarantee,
-            "benchmark_name": self.benchmark_name,
-            "benchmark": self.benchmark,
-            "revenue": self.revenue,
-            "alpha": self.alpha,
-            "ratio": self.ratio,
-            "passed": self.passed,
-            "degenerate": self.degenerate,
-            "params": dict(self.params),
-            "tolerance": self.tolerance,
-        }
+        return {**asdict(self), "notes": list(self.notes), "tolerance": self.tolerance}
 
 
-THEOREMS = (
-    "universal",
-    "slow",
-    "lin_bounded_1",
-    "lin_bounded_2",
-    "upper_n",
-    "smooth",
-    "wel_implications",
-    "rev_implications",
-)
+THEOREMS = ("universal", "slow", "lin_bounded_1", "lin_bounded_2", "upper_n", "smooth", "wel_implications",
+            "rev_implications")
 
 
-def _finish(
-    theorem: str,
-    hypothesis_ok: bool,
-    notes: list[str],
-    guarantee: float,
-    benchmark_name: str,
-    benchmark: float,
-    revenue: float,
-    alpha: float,
-    params: dict,
-) -> TheoremVerdict:
+def _finish(theorem: str, hypothesis_ok: bool, notes: list[str], guarantee: float, benchmark_name: str,
+            benchmark: float, revenue: float, alpha: float, params: dict) -> TheoremVerdict:
     degenerate = benchmark <= 1e-12
     if degenerate:
         ratio = 1.0
@@ -334,6 +287,12 @@ def _density_non_increasing(dist: TypeDistribution) -> bool:
     return bool(np.all(np.diff(g) <= 1e-9 * scale))
 
 
+def _top_action(instance: Instance, iv: IronedVirtualCost) -> int:
+    """The action the virtual welfare rule gives the highest type: the best
+    response to the full rewards at the top ironed virtual cost."""
+    return int(best_response(instance, instance.rewards, float(iv.value(iv.c_high))).action)
+
+
 def smoothed_point_mass(epsilon: float) -> TypeDistribution:
     """Point mass at 1 perturbed with uniform noise on [0, 2]."""
     if not 0.0 < epsilon < 1.0:
@@ -359,51 +318,55 @@ def verify(
     verdict passes only when the hypotheses hold and the guaranteed
     inequality does too.
     """
+    # need() puts a failed hypothesis in both lists; a note appended directly
+    # only informs. A check written "not x <= y" lets a nan argument pass.
     notes: list[str] = []
-    hyp = True
+    failed: list[str] = []
+
+    def need(ok: bool, note: str) -> bool:
+        if not ok:
+            failed.append(note)
+            notes.append(note)
+        return ok
+
+    if theorem == "rev_implications" and variant is None:
+        raise ValueError("rev_implications needs a variant")
+    if theorem in ("lin_bounded_1", "lin_bounded_2", "upper_n", "rev_implications") and dist.has_atoms:
+        return _finish(theorem, False, ["distribution has atoms"], math.inf, "virtual_welfare", 0.0, 0.0, 0.0, {})
 
     if theorem == "universal":
         q = 0.25 if q is None else q
         alpha = 0.5 if alpha is None else alpha
-        if not (0 < q < 1 and 0 < alpha < 1):
-            hyp, notes = False, notes + ["need q and alpha strictly inside (0, 1)"]
+        need(0 < q < 1 and 0 < alpha < 1, "need q and alpha strictly inside (0, 1)")
         c_q = dist.quantile(q)
         kap = c_q / alpha
         eta_rep = small_tail_eta(instance, dist, kap, "cost")
         eta_m = eta_rep.value
-        if eta_m <= 0:
-            hyp, notes = False, notes + [f"empty welfare tail above {kap:g}"]
-        guarantee = 1.0 / ((1.0 - alpha) * eta_m * q) if hyp else math.inf
+        need(eta_m > 0, f"empty welfare tail above {kap:g}")
+        guarantee = math.inf if failed else 1.0 / ((1.0 - alpha) * eta_m * q)
         wel = eta_rep.params["full"]
         rev = linear_revenue(instance, dist, alpha)
-        return _finish(theorem, hyp, notes, guarantee, "welfare", wel, rev, alpha,
+        return _finish(theorem, not failed, notes, guarantee, "welfare", wel, rev, alpha,
                        {"q": q, "c_q": c_q, "kappa": kap, "eta": eta_m})
 
     if theorem == "slow":
         alpha = 0.5 if alpha is None else alpha
         if kappa is None:
             kappa = dist.c_low / alpha
-        if not 0 < alpha < 1:
-            hyp, notes = False, notes + ["need alpha strictly inside (0, 1)"]
-        if kappa < dist.c_low / alpha - 1e-12:
-            hyp, notes = False, notes + ["kappa below c_low/alpha"]
+        need(0 < alpha < 1, "need alpha strictly inside (0, 1)")
+        need(not kappa < dist.c_low / alpha - 1e-12, "kappa below c_low/alpha")
         beta_m = beta if beta is not None else slowly_increasing_beta(dist, alpha, kappa).value
         eta_rep = small_tail_eta(instance, dist, kappa, "cost")
         eta_m = eta if eta is not None else eta_rep.value
-        if beta_m <= 0 or eta_m <= 0:
-            hyp, notes = False, notes + ["beta or eta vanishes"]
-        guarantee = 1.0 / ((1.0 - alpha) * beta_m * eta_m) if hyp else math.inf
+        need(not (beta_m <= 0 or eta_m <= 0), "beta or eta vanishes")
+        guarantee = math.inf if failed else 1.0 / ((1.0 - alpha) * beta_m * eta_m)
         rev = linear_revenue(instance, dist, alpha)
-        return _finish(theorem, hyp, notes, guarantee, "welfare", eta_rep.params["full"], rev,
+        return _finish(theorem, not failed, notes, guarantee, "welfare", eta_rep.params["full"], rev,
                        alpha, {"beta": beta_m, "eta": eta_m, "kappa": kappa})
 
     if theorem in ("lin_bounded_1", "lin_bounded_2"):
         kappa = dist.c_low if kappa is None else kappa
-        try:
-            lb = linear_bounded_params(dist, None, kappa)
-        except AtomPresentError:
-            return _finish(theorem, False, ["distribution has atoms"], math.inf,
-                           "virtual_welfare", 0.0, 0.0, 0.0, {})
+        lb = linear_bounded_params(dist, None, kappa)
         alpha_m = lb.value
         beta_m = lb.params["beta"]
         if lb.params["beta_scan_truncated"]:
@@ -411,31 +374,23 @@ def verify(
             notes.append("unbounded support: beta taken as 0 beyond the scan")
         eta_rep = small_tail_eta(instance, dist, kappa, "virtual")
         eta_m = eta if eta is not None else eta_rep.value
-        if alpha_m >= 1.0 - 1e-12 or eta_m <= 0:
-            hyp, notes = False, notes + ["alpha reaches 1 or eta vanishes"]
-        iv = ironed(dist)
-        top_action = best_response(instance, instance.rewards, float(iv.value(iv.c_high))).action
-        params = {"alpha": alpha_m, "beta": beta_m, "eta": eta_m, "kappa": kappa,
-                  "top_action": int(top_action)}
+        need(not (alpha_m >= 1.0 - 1e-12 or eta_m <= 0), "alpha reaches 1 or eta vanishes")
+        top_action = _top_action(instance, ironed(dist))
+        params = {"alpha": alpha_m, "beta": beta_m, "eta": eta_m, "kappa": kappa, "top_action": top_action}
         if theorem == "lin_bounded_2":
-            if top_action != 0:
-                hyp, notes = False, notes + ["highest type still incentivized to work"]
-            guarantee = (1.0 - beta_m) / (eta_m * (1.0 - alpha_m)) if hyp else math.inf
+            need(top_action == 0, "highest type still incentivized to work")
+            guarantee = math.inf if failed else (1.0 - beta_m) / (eta_m * (1.0 - alpha_m))
         else:
-            guarantee = 1.0 / (eta_m * (1.0 - alpha_m)) if hyp else math.inf
+            guarantee = math.inf if failed else 1.0 / (eta_m * (1.0 - alpha_m))
         rev = linear_revenue(instance, dist, alpha_m)
-        return _finish(theorem, hyp, notes, guarantee, "virtual_welfare",
+        return _finish(theorem, not failed, notes, guarantee, "virtual_welfare",
                        eta_rep.params["full"], rev, alpha_m, params)
 
     if theorem == "upper_n":
-        if instance.n < 1:
-            hyp, notes = False, notes + ["need at least one non-null action"]
-        if dist.has_atoms:
-            return _finish(theorem, False, ["distribution has atoms"], math.inf,
-                           "virtual_welfare", 0.0, 0.0, 0.0, {})
+        need(instance.n >= 1, "need at least one non-null action")
         a_star, rev = best_linear(instance, dist)
         vwel = virtual_welfare(instance, dist)
-        return _finish(theorem, hyp, notes, float(instance.n), "virtual_welfare",
+        return _finish(theorem, not failed, notes, float(instance.n), "virtual_welfare",
                        vwel, rev, a_star, {"n": instance.n})
 
     if theorem == "smooth":
@@ -443,33 +398,29 @@ def verify(
             raise ValueError("smooth verification needs epsilon")
         canonical = smoothed_point_mass(epsilon)
         probe = np.linspace(0.0, 2.0, 97)
-        if not np.allclose(np.asarray(dist.cdf(probe)), np.asarray(canonical.cdf(probe)), atol=1e-9):
-            hyp, notes = False, notes + ["distribution is not the smoothed point mass"]
+        need(np.allclose(np.asarray(dist.cdf(probe)), np.asarray(canonical.cdf(probe)), atol=1e-9),
+             "distribution is not the smoothed point mass")
         beta_closed = epsilon / (2.0 * (2.0 - epsilon))
         beta_m = slowly_increasing_beta(dist, 0.5, 0.0).value
-        if beta_m < beta_closed - 1e-9:
-            hyp, notes = False, notes + ["measured slow-increase beta below the closed form"]
+        need(beta_m >= beta_closed - 1e-9, "measured slow-increase beta below the closed form")
         guarantee = 4.0 * (2.0 - epsilon) / epsilon
         wel = welfare(instance, dist)
         rev = linear_revenue(instance, dist, 0.5)
-        return _finish(theorem, hyp, notes, guarantee, "welfare", wel, rev, 0.5,
+        return _finish(theorem, not failed, notes, guarantee, "welfare", wel, rev, 0.5,
                        {"epsilon": epsilon, "beta": beta_m, "beta_closed_form": beta_closed})
 
     if theorem == "wel_implications":
-        if not _density_non_increasing(dist):
-            hyp, notes = False, notes + ["density is not non-increasing"]
+        need(_density_non_increasing(dist), "density is not non-increasing")
         if dist.c_low > 0:
             kappa = 3.0 if kappa is None else kappa
-            if kappa <= 1.0:
-                hyp, notes = False, notes + ["need kappa > 1"]
+            if not need(not kappa <= 1.0, "need kappa > 1"):  # a nan kappa is rejected below
                 kappa = 1.0 + 1e-9
             alpha_v = (kappa + 1.0) / (2.0 * kappa)
             threshold = kappa * dist.c_low
             eta_rep = small_tail_eta(instance, dist, threshold, "cost")
             eta_m = eta_rep.value
             guarantee = 4.0 * kappa / (eta_m * (kappa - 1.0)) if eta_m > 0 else math.inf
-            if eta_m <= 0:
-                hyp, notes = False, notes + ["empty welfare tail"]
+            need(eta_m > 0, "empty welfare tail")
             variant_used = "positive-low-support"
         else:
             alpha_v = 0.5
@@ -479,66 +430,51 @@ def verify(
             guarantee = 4.0 / eta_m if eta_m > 0 else math.inf
             variant_used = "zero-low-support"
         rev = linear_revenue(instance, dist, alpha_v)
-        return _finish(theorem, hyp, notes, guarantee, "welfare", eta_rep.params["full"],
+        return _finish(theorem, not failed, notes, guarantee, "welfare", eta_rep.params["full"],
                        rev, alpha_v,
                        {"kappa": kappa, "threshold": threshold, "eta": eta_m,
                         "variant": variant_used})
 
     if theorem == "rev_implications":
-        if variant is None:
-            raise ValueError("rev_implications needs a variant")
-        if dist.has_atoms:
-            return _finish(theorem, False, ["distribution has atoms"], math.inf,
-                           "virtual_welfare", 0.0, 0.0, 0.0, {})
         iv = ironed(dist)
         lb = linear_bounded_params(dist, iv, dist.c_low)
         params: dict = {"variant": variant, "alpha_measured": lb.value,
                         "beta_measured": lb.params["beta"]}
         if variant == "uniform":
-            if not (abs(lb.value - 0.5) <= 1e-6 and abs(lb.params["beta"] - 0.5) <= 1e-6):
-                hyp, notes = False, notes + ["ironed virtual cost is not 2c"]
+            need(abs(lb.value - 0.5) <= 1e-6 and abs(lb.params["beta"] - 0.5) <= 1e-6,
+                 "ironed virtual cost is not 2c")
             alpha_v = 0.5
-            top_action = best_response(instance, instance.rewards, float(iv.value(iv.c_high))).action
-            params["top_action"] = int(top_action)
-            guarantee = 1.0 if top_action == 0 else 2.0
+            params["top_action"] = _top_action(instance, iv)
+            guarantee = 1.0 if params["top_action"] == 0 else 2.0
         elif variant == "exponential":
-            if not (_density_non_increasing(dist) and dist.c_low <= 1e-12):
-                hyp, notes = False, notes + ["need non-increasing density on [0, inf)"]
-            if lb.value > 0.5 + 1e-6:
-                hyp, notes = False, notes + ["virtual cost dips below 2c"]
+            need(_density_non_increasing(dist) and dist.c_low <= 1e-12, "need non-increasing density on [0, inf)")
+            need(lb.value <= 0.5 + 1e-6, "virtual cost dips below 2c")
             alpha_v = 0.5
             guarantee = 2.0
         elif variant == "truncated_normal":
-            part_ok = (
-                len(dist.parts) == 1
-                and not dist.atoms
-                and type(dist.parts[0][1]).__name__ == "TruncatedNormalPart"
-                and dist.parts[0][1].low == 0.0
-                and dist.parts[0][1].sigma >= (5.0 / (2.0 * math.sqrt(2.0))) * dist.parts[0][1].mu - 1e-12
-            )
-            if not part_ok:
-                hyp, notes = False, notes + ["not a zero-truncated normal with sigma >= 5/(2*sqrt(2)) mu"]
-            if lb.value > 2.0 / 3.0 + 1e-6:
-                hyp, notes = False, notes + ["virtual cost dips below 1.5c"]
+            part = dist.parts[0][1] if len(dist.parts) == 1 else None
+            need(type(part).__name__ == "TruncatedNormalPart" and part.low == 0.0
+                 and part.sigma >= (5.0 / (2.0 * math.sqrt(2.0))) * part.mu - 1e-12,
+                 "not a zero-truncated normal with sigma >= 5/(2*sqrt(2)) mu")
+            need(lb.value <= 2.0 / 3.0 + 1e-6, "virtual cost dips below 1.5c")
             alpha_v = 2.0 / 3.0
             guarantee = 3.0
         elif variant == "non_increasing":
             kappa = 3.0 if kappa is None else kappa
-            if dist.c_low <= 0 or kappa <= 1.0 or not _density_non_increasing(dist):
-                hyp, notes = False, notes + ["need non-increasing density, c_low > 0, kappa > 1"]
+            need(dist.c_low > 0 and kappa > 1.0 and _density_non_increasing(dist),
+                 "need non-increasing density, c_low > 0, kappa > 1")
             alpha_v = kappa / (2.0 * kappa - 1.0)
             threshold = kappa * dist.c_low
             eta_rep = small_tail_eta(instance, dist, threshold, "virtual")
             eta_m = eta_rep.value
             params.update({"kappa": kappa, "threshold": threshold, "eta": eta_m})
             guarantee = (2.0 * kappa - 1.0) / (eta_m * (kappa - 1.0)) if eta_m > 0 else math.inf
-            if eta_m <= 0:
-                hyp, notes = False, notes + ["empty virtual-welfare tail"]
+            need(eta_m > 0, "empty virtual-welfare tail")
         else:
             raise ValueError(f"unknown rev_implications variant '{variant}'")
         vwel = virtual_welfare(instance, dist, iv=iv)
         rev = linear_revenue(instance, dist, alpha_v)
-        return _finish(theorem, hyp, notes, guarantee, "virtual_welfare", vwel, rev,
+        return _finish(theorem, not failed, notes, guarantee, "virtual_welfare", vwel, rev,
                        alpha_v, params)
 
     raise ValueError(f"unknown theorem '{theorem}' (choose from {', '.join(THEOREMS)})")

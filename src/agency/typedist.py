@@ -276,10 +276,10 @@ class TypeDistribution:
     def has_atoms(self) -> bool:
         return bool(self.atoms)
 
-    def effective_high(self, tail: float = TAIL_EPS) -> float:
-        """Finite upper bound for grids: the ``1 - tail`` quantile if unbounded."""
+    def effective_high(self) -> float:
+        """Finite upper bound for grids: the ``1 - TAIL_EPS`` quantile if unbounded."""
         hi = self.c_high
-        return hi if math.isfinite(hi) else self.quantile(1.0 - tail)
+        return hi if math.isfinite(hi) else self.quantile(1.0 - TAIL_EPS)
 
     def kinks(self) -> tuple[float, ...]:
         pts: set[float] = set()

@@ -220,11 +220,20 @@ def grid_best_contract(
 
 def highs_linprog(cost, A_ub, b_ub, bounds):
     """HiGHS and its status name (``scipy.optimize`` is imported here only:
-    the import alone takes longer than importing ``agency``)."""
+    the import alone takes longer than importing ``agency``).
+
+    HiGHS's presolve reports some feasible, unbounded LPs as infeasible, and
+    turning presolve off trades that for numerical difficulties. So an
+    infeasible verdict stands only if the zero-cost LP over the same rows is
+    infeasible too; when that LP is feasible, the status is ``unbounded``."""
     from scipy.optimize import linprog
 
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    return res, ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical_difficulties")[res.status]
+    status = ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical_difficulties")[res.status]
+    if status == "infeasible" and linprog(np.zeros(len(cost)), A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+                                          method="highs").status == 0:
+        status = "unbounded"
+    return res, status
 
 
 def grid_menu_ic(

@@ -12,6 +12,7 @@ from agency import (
     AtomPresentError,
     Instance,
     IronedVirtualCost,
+    TypeDistribution,
     exponential,
     from_spec,
     iron,
@@ -32,7 +33,7 @@ from agency import (
     virtual_welfare,
     welfare,
 )
-from agency.conditions import SCAN_POINTS
+from agency.conditions import REFINE_ROUNDS, SCAN_POINTS
 from agency.examples import scaling_uniform
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
@@ -134,12 +135,25 @@ class TestLinearBounded:
             assert rep.value <= k / (2 * k - 1) + 1e-9
 
     def test_sup_and_inf_share_one_scan(self, monkeypatch):
-        # one pass over the scan points; each refinement call prices 65
+        # one pass over the scan points, then one call per refinement round
+        # that prices the sup's 65 points and the inf's together
         dist = piecewise([(0, 5, 0.1), (5, 6, 0.5)])
         iv, sizes, value = iron(dist), [], IronedVirtualCost.value
         monkeypatch.setattr(IronedVirtualCost, "value", lambda self, c: sizes.append(np.size(c)) or value(self, c))
         linear_bounded_params(dist, iv)
-        assert sum(n >= SCAN_POINTS for n in sizes) == 1
+        assert sizes[0] >= SCAN_POINTS and sizes[1:] == [130] * REFINE_ROUNDS
+
+    @pytest.mark.parametrize("measure, refined", [
+        (lambda dist: slowly_increasing_beta(dist, 0.5, 0.0), [65] * 2 * REFINE_ROUNDS),  # G(alpha c) and G(c)
+        (rhr_bound_alpha_hat, [65] * REFINE_ROUNDS + [512]),  # then the virtual-cost cross-check
+    ], ids=["slowly_increasing_beta", "rhr_bound_alpha_hat"])
+    def test_an_inf_alone_refines_one_side(self, monkeypatch, measure, refined):
+        # refining an unread sup alongside would double each round's points
+        dist = piecewise([(0, 5, 0.1), (5, 6, 0.5)])
+        sizes, cdf = [], TypeDistribution.cdf
+        monkeypatch.setattr(TypeDistribution, "cdf", lambda self, x: sizes.append(np.size(x)) or cdf(self, x))
+        measure(dist)
+        assert [n for n in sizes if n < SCAN_POINTS] == refined
 
     def test_sandwich_property(self):
         for dist in (uniform(0, 4), truncated_normal(0.5, 1.5, 0.0)):
@@ -246,6 +260,19 @@ class TestVerify:
                 v = verify(inst, dist, theorem)
                 assert v.hypothesis_ok, (theorem, v.notes)
                 assert v.passed, (theorem, v.ratio, v.guarantee)
+
+    def test_atom_verdicts(self, rng):
+        # every theorem that needs an atom-free distribution says so in one
+        # verdict; a missing rev_implications variant is still raised first
+        inst, dist = random_instance(rng), smoothed_point_mass(0.3)
+        want = {"hypothesis_ok": False, "notes": ["distribution has atoms", "benchmark is zero; pass is vacuous"],
+                "guarantee": math.inf, "benchmark_name": "virtual_welfare", "benchmark": 0.0, "revenue": 0.0,
+                "alpha": 0.0, "ratio": 1.0, "passed": False, "degenerate": True, "params": {}, "tolerance": 1e-6}
+        jobs = [("lin_bounded_1", {}), ("lin_bounded_2", {}), ("upper_n", {})]
+        for theorem, kwargs in jobs + [("rev_implications", {"variant": v}) for v in VARIANTS]:
+            assert verify(inst, dist, theorem, **kwargs).to_dict() == {"theorem": theorem, **want}
+        with pytest.raises(ValueError, match="^rev_implications needs a variant$"):
+            verify(inst, dist, "rev_implications")
 
     def test_unknown_theorem(self, rng):
         inst = random_instance(rng)

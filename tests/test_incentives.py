@@ -365,6 +365,25 @@ def test_best_contracts_match_highs(monkeypatch):
         assert revenue == pytest.approx(oracle, abs=1e-9)
 
 
+def test_lp_statuses_match_highs():
+    # 6 rows, 4 columns, the last one free: half with b >= 0, so x = 0 is
+    # feasible and only optimal or unbounded can come back, half with a
+    # normal b; HiGHS's presolve calls 6 of these unbounded LPs infeasible
+    rng = np.random.default_rng(16)
+    decided = Counter()
+    for k in range(2000):
+        A, cost = rng.normal(size=(6, 4)), rng.normal(size=4)
+        b = rng.uniform(0.0, 1.0, 6) if k % 2 == 0 else rng.normal(size=6)
+        x, _, status = incentives._linprog(cost, A, b, 1)
+        res, oracle = highs_linprog(cost, A, b, [(0.0, None)] * 3 + [(None, None)])
+        assert status == oracle, k
+        if status == "optimal":
+            assert cost @ x == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+        decided[k % 2, status] += 1
+    assert decided == {(0, "optimal"): 750, (0, "unbounded"): 250,
+                       (1, "optimal"): 228, (1, "unbounded"): 286, (1, "infeasible"): 486}
+
+
 class TestSimplex:
     """The LP kernel behind the certificate and the audit, on hand-solved LPs."""
 
