@@ -319,7 +319,7 @@ def verify(
     inequality does too.
     """
     # need() puts a failed hypothesis in both lists; a note appended directly
-    # only informs. A check written "not x <= y" lets a nan argument pass.
+    # only informs. A nan argument raises before any check.
     notes: list[str] = []
     failed: list[str] = []
 
@@ -329,8 +329,11 @@ def verify(
             notes.append(note)
         return ok
 
-    if theorem == "rev_implications" and variant is None:
-        raise ValueError("rev_implications needs a variant")
+    reject_nan(q=q, alpha=alpha, beta=beta, kappa=kappa, eta=eta, epsilon=epsilon)
+    if theorem == "rev_implications" and variant not in (
+            "uniform", "exponential", "truncated_normal", "non_increasing"):
+        raise ValueError("rev_implications needs a variant" if variant is None
+                         else f"unknown rev_implications variant '{variant}'")
     if theorem in ("lin_bounded_1", "lin_bounded_2", "upper_n", "rev_implications") and dist.has_atoms:
         return _finish(theorem, False, ["distribution has atoms"], math.inf, "virtual_welfare", 0.0, 0.0, 0.0, {})
 
@@ -413,7 +416,7 @@ def verify(
         need(_density_non_increasing(dist), "density is not non-increasing")
         if dist.c_low > 0:
             kappa = 3.0 if kappa is None else kappa
-            if not need(not kappa <= 1.0, "need kappa > 1"):  # a nan kappa is rejected below
+            if not need(kappa > 1.0, "need kappa > 1"):
                 kappa = 1.0 + 1e-9
             alpha_v = (kappa + 1.0) / (2.0 * kappa)
             threshold = kappa * dist.c_low
@@ -459,7 +462,7 @@ def verify(
             need(lb.value <= 2.0 / 3.0 + 1e-6, "virtual cost dips below 1.5c")
             alpha_v = 2.0 / 3.0
             guarantee = 3.0
-        elif variant == "non_increasing":
+        else:  # non_increasing
             kappa = 3.0 if kappa is None else kappa
             need(dist.c_low > 0 and kappa > 1.0 and _density_non_increasing(dist),
                  "need non-increasing density, c_low > 0, kappa > 1")
@@ -470,8 +473,6 @@ def verify(
             params.update({"kappa": kappa, "threshold": threshold, "eta": eta_m})
             guarantee = (2.0 * kappa - 1.0) / (eta_m * (kappa - 1.0)) if eta_m > 0 else math.inf
             need(eta_m > 0, "empty virtual-welfare tail")
-        else:
-            raise ValueError(f"unknown rev_implications variant '{variant}'")
         vwel = virtual_welfare(instance, dist, iv=iv)
         rev = linear_revenue(instance, dist, alpha_v)
         return _finish(theorem, not failed, notes, guarantee, "virtual_welfare", vwel, rev,

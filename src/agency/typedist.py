@@ -48,8 +48,10 @@ CDF_FLOOR = 1e-12
 TAIL_EPS = 1e-9
 #: Uniform points of the ironing grid (density kinks are added to them).
 IRON_GRID = 4096
-#: Most bisection rounds, and most points, one ``value`` call prices.
-_BISECT_DEPTH, _BISECT_POINTS = 6, 1024
+#: Fewest and most rounds of one predicted bisection path (fewer as more levels
+#: are live, for about 1,024 midpoints a pass), and the most points one call
+#: prices, since a larger call costs more per point.
+_PATH_ROUNDS, _PATH_POINTS, _CALL_POINTS = (8, 64), 1024, 8192
 
 
 class DistributionError(ValueError):
@@ -337,11 +339,12 @@ class TypeDistribution:
             hi = max(hi, lo + 1.0)
             while float(self.cdf(hi)) < q and math.isfinite(hi):
                 hi *= 2.0
-        if float(self.cdf(hi)) < q:
-            return math.inf
-        if float(self.cdf(lo)) >= q:
-            return lo
-        hi = float(_bisect(lambda rows, x: np.asarray(self.cdf(x)) < q, [lo], [hi])[1][0])
+        ends = np.asarray([float(self.cdf(lo)), float(self.cdf(hi))])
+        if not ends[0] < q <= ends[1]:
+            return math.inf if ends[1] < q else lo
+        # cdf(m) < q, the test that raises lo, is cdf(m) <= the float below q
+        hi = float(_bisect(self.cdf, np.asarray([np.nextafter(q, -math.inf)]), lo, hi,
+                           (np.asarray([lo, hi]), ends), [a for a, _ in self.atoms])[1][0])
         for a, _ in self.atoms:
             if abs(hi - a) <= 1e-9 * max(1.0, abs(a)) and float(self.cdf_left(a)) < q <= float(self.cdf(a)):
                 return a
@@ -562,7 +565,8 @@ class IronedVirtualCost:
         a level or an array of levels; a NaN level raises ``ValueError``.
 
         Each level is solved at most once per ironed object: solved levels
-        are kept, and one bisection runs on the new ones together."""
+        are kept, and one bisection runs on the new ones together, pricing
+        one predicted path per level and ``value`` call."""
         qa = np.atleast_1d(np.asarray(q, dtype=float))
         if np.isnan(qa).any():
             raise ValueError("cannot invert the ironed virtual cost at level nan")
@@ -575,80 +579,105 @@ class IronedVirtualCost:
 
     def _bisect(self, qa: np.ndarray) -> np.ndarray:
         """:meth:`inverse` at each level of ``qa``, by one :func:`_bisect` on
-        all levels together."""
-        lo = np.full(qa.shape, self.c_low)
-        hi = np.full(qa.shape, self.c_high)
+        all levels together. Its first predictions read ``values`` with each
+        flat at its level and each point at the least value from it on, so a
+        flat's level leads to the flat's top; kinks and flat ends are aims."""
         v_low, v_high = self.value(np.asarray([self.c_low, self.c_high]))
-        below = qa < v_low
-        above = qa >= v_high
-        live = np.flatnonzero(~(below | above))
-        q = qa[live]
-        lo[live], hi[live] = _bisect(lambda rows, x: self.value(x.ravel()).reshape(x.shape) <= q[rows, None],
-                                     lo[live], hi[live])
+        below, above = qa < v_low, qa >= v_high
+        live = ~(below | above)
+        kinks = np.asarray(self.dist.kinks())
+        least = self.values.copy()
+        for a, b, level in self.flats:
+            least[(self.grid > a) & (self.grid < b)] = level
+        least = np.minimum.accumulate(least[::-1])[::-1]
+        lo, hi = np.full(qa.shape, self.c_low), np.full(qa.shape, self.c_high)
+        lo[live], hi[live] = _bisect(self.value, qa[live], self.c_low, self.c_high, (self.grid, least),
+                                     [*kinks, *(end for flat in self.flats for end in flat[:2])])
         # a bracket this tight that still contains a density kink means the
         # ironed virtual cost jumps across q there; the supremum is the kink
-        kinks = np.asarray(self.dist.kinks())
         bracketed = (lo[:, None] <= kinks) & (kinks <= hi[:, None])
         out = np.where(bracketed.any(axis=1), kinks[bracketed.argmax(axis=1)], lo)
         return np.where(below, self.c_low, np.where(above, self.c_high, out))
 
 
-def _bisect(left, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets ``(lo, hi)`` after bisecting every ``[lo[k], hi[k]]`` for at
-    most 200 rounds; each stops once its bracket closes. ``left(rows, x)``
-    tells, for the brackets ``rows`` and a row of points ``x`` per bracket,
-    whether each point lies left of the bracket's target (lo moves up to it).
+def _bisect(f, q: np.ndarray, lo: float, hi: float, table, aims) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets ``(lo, hi)`` after bisecting ``[lo, hi]`` for each level of
+    ``q`` for at most 200 rounds; each stops once its bracket closes. A round
+    raises lo to its midpoint m where ``f(m) <= q[k]``, else lowers hi to m.
 
-    One ``left`` call prices every midpoint the next D rounds could visit
-    (2**D - 1 per open bracket, built with the rounds' own ``0.5 * (lo +
-    hi)``); :func:`_walk` resolves those rounds by table lookup. D shrinks
-    from :data:`_BISECT_DEPTH` to keep a call within :data:`_BISECT_POINTS`.
+    Each pass prices a predicted path per open bracket, in one ``f`` call
+    unless it holds more than :data:`_CALL_POINTS` points: the midpoints
+    ``0.5 * (lo + hi)`` that bisecting toward a predicted root visits. The
+    rounds whose comparisons match the prediction are kept, and the first
+    one that does not, so the rounds and their bits are bisection's own
+    whether or not ``f`` is monotone. The first prediction is a secant in
+    the cell of ``table`` (points, ascending values) that brackets the level,
+    later ones a secant on the kept bracket's evaluated ends; a point of
+    ``aims`` in that cell or bracket is aimed at instead, and a prediction
+    outside the bracket aims at its midpoint.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    live, rounds = np.arange(len(lo)), 0
-    while len(live) and rounds < 200:
-        depth = min(_BISECT_DEPTH, 200 - rounds, max(1, (_BISECT_POINTS // len(live) + 1).bit_length() - 1))
-        # column 2**d - 1 + j holds round d's midpoint j: raising lo there
-        # leads to midpoint j of round d + 1, lowering hi to j + 2**d
-        l, h = lo[live], hi[live]
-        L, H, mids = l[:, None], h[:, None], [0.5 * (l + h)[:, None]]
-        for _ in range(depth - 1):
-            L, H = np.concatenate([mids[-1], L], axis=1), np.concatenate([H, mids[-1]], axis=1)
-            mids.append(0.5 * (L + H))
-        mids = np.concatenate(mids, axis=1)
-        lo[live], hi[live], still = _walk(l, h, mids, left(live, mids))
-        live, rounds = live[still], rounds + depth
+    xs, fs = table
+    i = np.clip(np.searchsorted(fs, q, side="right") - 1, 0, len(xs) - 2)
+    aims = np.append(np.unique(aims), math.inf)
+    lo, hi = np.full(len(q), float(lo)), np.full(len(q), float(hi))
+    state = [lo, hi, q, xs[i], fs[i], xs[i + 1], fs[i + 1], np.zeros(len(q), dtype=int), np.arange(len(q))]
+    while len(state[-1]):
+        l, h, t, a, fa, b, fb, rounds, at = state  # (a, fa) and (b, fb) predict
+        with np.errstate(divide="ignore", invalid="ignore"):
+            aim = a + (t - fa) / (fb - fa) * (b - a)
+        aim = np.where((l <= aim) & (aim <= h), aim, 0.5 * (l + h))
+        point = aims[np.searchsorted(aims, a)]
+        aim = np.where(point <= b, point, aim)
+        mids, last = _path(l, h, aim, int(np.clip(_PATH_POINTS // len(at), *_PATH_ROUNDS)))
+        depth, cols, row = len(mids), np.arange(len(mids))[:, None], np.arange(len(at))
+        flat = mids.ravel()
+        vals = np.concatenate([f(flat[k:k + _CALL_POINTS]) for k in range(0, flat.size, _CALL_POINTS)])
+        vals = vals.reshape(mids.shape)
+        left = vals <= t
+        # the first round that refutes the prediction or ends the path
+        stop = (cols + depth * ((left == (mids <= aim)) & (cols < np.minimum(last, 199 - rounds)))).min(axis=0)
+        kept = cols <= stop
+        jl = ((cols + 1) * (left & kept)).max(axis=0) - 1  # the last kept round that raised lo
+        jh = ((cols + 1) * (~left & kept)).max(axis=0) - 1
+        up, down = jl >= 0, jh >= 0  # where not, the row gathered is discarded
+        l, a, fa = (np.where(up, x[jl, row], y) for x, y in ((mids, l), (mids, a), (vals, fa)))
+        h, b, fb = (np.where(down, x[jh, row], y) for x, y in ((mids, h), (mids, b), (vals, fb)))
+        rounds = rounds + stop + 1
+        lo[at], hi[at] = l, h
+        still = (h - l > 1e-15 * np.maximum(1.0, np.abs(h))) & (rounds < 200)
+        state = [x[still] for x in (l, h, t, a, fa, b, fb, rounds, at)]
     return lo, hi
 
 
-def _walk_tables(depth: int) -> tuple[np.ndarray, ...]:
-    """Lookup tables of a ``depth``-round chunk: leaf j's round d compares at
-    heap node ``nodes[d, j]`` and raises lo iff bit d of j is 0; ``cols[:, j]``
-    holds the ``[l, mids..., h]`` columns of lo, then hi, after each round;
-    ``first[b]`` is the lowest round whose bit in b is 0, else the last."""
-    j, d = np.arange(2**depth), np.arange(depth)[:, None]
-    nodes, left = 2**d - 1 + j % 2**d, (j >> d) & 1 == 0
-    lo = np.maximum.accumulate(np.where(left, nodes + 1, 0), axis=0)
-    hi = np.maximum.accumulate(np.where(left, 0, nodes + 1), axis=0)
-    cols = np.concatenate([lo, np.where(hi > 0, hi, 2**depth)])
-    return nodes, left[..., None], cols, 1 << d[:, 0], np.where(left.any(axis=0), left.argmax(axis=0), depth - 1)
-
-
-_WALKS = tuple(_walk_tables(depth) for depth in range(1, _BISECT_DEPTH + 1))
-
-
-def _walk(l: np.ndarray, h: np.ndarray, mids: np.ndarray, lefts: np.ndarray):
-    """``(lo, hi, open)`` per level after the rounds of the heap-ordered
-    ``mids`` and ``lefts`` rows, at the first tight bracket, else the last;
-    a level's path is the one leaf whose comparisons all match."""
-    depth, n = lefts.shape[1].bit_length(), len(l)
-    nodes, want, cols, bit, first = _WALKS[depth - 1]
-    leaf = (lefts.T[nodes] == want).all(axis=0)  # one-hot, leaf by level
-    ends = np.concatenate([l[:, None], mids, h[:, None]], axis=1).ravel()
-    lh = ends[cols @ leaf + np.arange(0, n * (2**depth + 1), 2**depth + 1)]
-    opened = bit @ (lh[depth:] - lh[:depth] > 1e-15 * np.maximum(1.0, np.abs(lh[depth:])))
-    at = first[opened] * n + np.arange(n)
-    return lh[:depth].ravel()[at], lh[depth:].ravel()[at], opened == 2**depth - 1
+def _path(l: np.ndarray, h: np.ndarray, aim: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints of up to ``depth`` rounds bisecting each ``[l, h]`` toward
+    ``aim``, one row per round, and the round each bracket closes at (else
+    the last), the first round even on a closed bracket. Up to 22 brackets
+    (where the two cost about the same) are walked in floats, more in arrays."""
+    if len(l) > 22:
+        mids, last, still = np.empty((depth, len(l))), np.zeros(len(l), dtype=int), True
+        # each width halves, less at most 2**-52 * max(|l|, |h|) in all: a bracket this wide cannot close
+        track = ((h - l) * 0.5**depth <= 2e-15 * np.maximum(1.0, np.maximum(np.abs(l), np.abs(h)))).any()
+        for d in range(depth):
+            mids[d] = m = 0.5 * (l + h)
+            go = m <= aim
+            l, h = np.where(go, m, l), np.where(go, h, m)
+            if track:
+                still = still & (h - l > 1e-15 * np.maximum(1.0, np.abs(h)))
+                last += still
+                if not still.any():
+                    break
+        return mids[:d + 1], np.minimum(last, d) if track else np.full(len(l), depth - 1)
+    rows = []
+    for l, h, t in zip(l.tolist(), h.tolist(), aim.tolist()):
+        row = []
+        while len(row) < depth and (not row or h - l > 1e-15 * max(1.0, abs(h))):
+            m = 0.5 * (l + h)
+            row.append(m)
+            l, h = (m, h) if m <= t else (l, m)
+        rows.append(row)
+    width = max(map(len, rows))
+    return np.asarray([row + row[-1:] * (width - len(row)) for row in rows]).T, np.asarray([len(r) - 1 for r in rows])
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:

@@ -10,9 +10,8 @@ so they are at least the grid's.
 
 Sequential searches, one step per call: the bisections behind
 ``IronedVirtualCost.inverse`` and ``TypeDistribution.quantile``, and the
-golden-section polish of ``best_linear``. The batched searches must return the same bits. Within one
-bisection chunk, the rounds walked one at a time over the stored midpoints
-and comparisons: the table lookup must give the same brackets.
+golden-section polish of ``best_linear``, and the bisection kernel on any
+function. The batched searches must return the same bits.
 
 HiGHS through ``scipy.optimize`` behind the certificate and audit LPs: the
 package's own simplex must reach the same statuses and optimal values.
@@ -294,6 +293,22 @@ def bisect_one_round_per_call(iv: IronedVirtualCost, qa: np.ndarray) -> np.ndarr
     return np.where(below, iv.c_low, np.where(above, iv.c_high, out))
 
 
+def bisect_brackets_one_round_per_call(f, q: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets of bisecting ``[lo, hi]`` for each level of ``q`` with one
+    ``f`` call per round: a round raises lo to its midpoint m where ``f(m) <=
+    q``, else lowers hi to m; each level stops once its bracket closes, all
+    after 200 rounds."""
+    lo, hi = np.full(len(q), lo), np.full(len(q), hi)
+    live = np.arange(len(q))
+    for _ in range(200):
+        mid = 0.5 * (lo[live] + hi[live])
+        left = f(mid) <= q[live]
+        lo[live[left]] = mid[left]
+        hi[live[~left]] = mid[~left]
+        live = live[hi[live] - lo[live] > 1e-15 * np.maximum(1.0, np.abs(hi[live]))]
+    return lo, hi
+
+
 def quantile_one_round_per_call(dist: TypeDistribution, q: float) -> float:
     """``dist.quantile(q)``, bisecting with one scalar ``cdf`` call per round."""
     if not 0.0 <= q <= 1.0:
@@ -326,21 +341,6 @@ def quantile_one_round_per_call(dist: TypeDistribution, q: float) -> float:
         if abs(hi - a) <= 1e-9 * max(1.0, abs(a)) and float(dist.cdf_left(a)) < q <= float(dist.cdf(a)):
             return a
     return hi
-
-
-def walk_one_round_at_a_time(l: np.ndarray, h: np.ndarray, mids: np.ndarray, lefts: np.ndarray):
-    """``(lo, hi, open)`` of each level after the rounds whose midpoints and
-    comparisons are stored in heap order (round d's midpoint j in column
-    ``2**d - 1 + j``), one round at a time: a level's bracket stops at the
-    first round where it is tight."""
-    depth = lefts.shape[1].bit_length()
-    row, col, active = np.arange(len(l)), np.zeros(len(l), dtype=np.intp), np.ones(len(l), dtype=bool)
-    for d in range(depth):
-        mid, left = mids[row, 2**d - 1 + col], lefts[row, 2**d - 1 + col]
-        l, h = np.where(active & left, mid, l), np.where(active & ~left, mid, h)
-        active &= h - l > 1e-15 * np.maximum(1.0, np.abs(h))
-        col += 2**d * ~left
-    return l, h, active
 
 
 def golden_section_one_step_per_call(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:

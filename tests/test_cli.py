@@ -125,6 +125,11 @@ class TestVerify:
         assert verdict["hypothesis_ok"] is True
         assert verdict["passed"] is False
 
+    def test_nan_argument_exits_one(self, instance_file, capsys):
+        # a nan beta once read as a guarantee that failed on the instance
+        code, out, err = run(["verify", "--instance", instance_file, "--theorem", "slow", "--beta", "nan"], capsys)
+        assert (code, out, err) == (1, "", "beta must not be nan\n")
+
     def test_smooth_variant(self, instance_file, tmp_path, capsys):
         dist = tmp_path / "smooth.json"
         dist.write_text(json.dumps({

@@ -263,7 +263,7 @@ class TestVerify:
 
     def test_atom_verdicts(self, rng):
         # every theorem that needs an atom-free distribution says so in one
-        # verdict; a missing rev_implications variant is still raised first
+        # verdict; a missing or unknown rev_implications variant is raised first
         inst, dist = random_instance(rng), smoothed_point_mass(0.3)
         want = {"hypothesis_ok": False, "notes": ["distribution has atoms", "benchmark is zero; pass is vacuous"],
                 "guarantee": math.inf, "benchmark_name": "virtual_welfare", "benchmark": 0.0, "revenue": 0.0,
@@ -273,6 +273,8 @@ class TestVerify:
             assert verify(inst, dist, theorem, **kwargs).to_dict() == {"theorem": theorem, **want}
         with pytest.raises(ValueError, match="^rev_implications needs a variant$"):
             verify(inst, dist, "rev_implications")
+        with pytest.raises(ValueError, match="^unknown rev_implications variant 'bogus'$"):
+            verify(inst, dist, "rev_implications", variant="bogus")
 
     def test_unknown_theorem(self, rng):
         inst = random_instance(rng)
@@ -325,6 +327,12 @@ NAN_CALLS = {
     "slowly_increasing_beta": [("kappa", lambda inst, dist: slowly_increasing_beta(dist, 0.5, math.nan))],
     "slow_virtual_beta": [("alpha", lambda inst, dist: slow_virtual_beta(dist, None, math.nan, 0.0)),
                           ("kappa", lambda inst, dist: slow_virtual_beta(dist, None, 0.5, math.nan))],
+    # a nan beta and eta once read as a guarantee that failed on the instance
+    "verify": [("beta", lambda inst, dist: verify(inst, uniform(0, 9), "slow", beta=math.nan, eta=math.nan))] + [
+        (name, lambda inst, dist, name=name, theorem=theorem:
+         verify(inst, dist, theorem, variant="uniform", **{name: math.nan}))
+        for name in ("q", "alpha", "beta", "kappa", "eta", "epsilon")
+        for theorem in ("universal", "slow", "smooth", "rev_implications")],
 }
 
 

@@ -9,6 +9,8 @@ best linear one and, with two actions, the optimal menu. The hull and its
 flats must equal those of the plain monotone chain in ``oracles.py``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +33,7 @@ from agency.metrics import _phibar_mass_integral
 from agency.typedist import _lower_hull
 
 from conftest import battery, random_binary_action_instance, random_instance, welfare_top
-from oracles import hull_flats, monotone_chain_hull
+from oracles import bisect_one_round_per_call, hull_flats, monotone_chain_hull
 
 FAMILIES = ("step_up", "bumps", "gapped_bumps")
 shares = st.floats(0.0, 1.0)
@@ -55,6 +57,20 @@ def nonregular(draw, hi: float):
     else:
         b_lo = a_hi + (0.05 + 0.15 * u[2]) * (hi - a_hi)
     return mixture([(w, uniform(0.0, a_hi)), (1.0 - w, uniform(b_lo, hi))])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), hi=st.floats(1.0, 20.0))
+def test_inverse_matches_one_round_per_call_at_flats_and_kinks(data, hi):
+    # where a first prediction is most often refuted: every flat's level, and
+    # the ironed virtual cost at every flat end and density kink; together,
+    # then one at a time on a copy with no solved levels
+    dist = data.draw(nonregular(hi))
+    iv = iron(dist)
+    points = np.asarray([*(end for flat in iv.flats for end in flat[:2]), *dist.kinks()])
+    levels = np.unique([*(level for *_, level in iv.flats), *iv.value(points)])
+    for batch in (levels, *levels[:, None]):
+        assert replace(iv).inverse(batch).tolist() == bisect_one_round_per_call(iv, batch).tolist()
 
 
 def scaled(draw_seed: int, binary: bool):

@@ -28,8 +28,8 @@ from agency import (
     uniform,
 )
 
-from agency.typedist import _walk
-from oracles import bisect_one_round_per_call, quantile_one_round_per_call, walk_one_round_at_a_time
+from agency.typedist import _bisect
+from oracles import bisect_brackets_one_round_per_call, bisect_one_round_per_call, quantile_one_round_per_call
 
 
 def run_probe(code: str) -> subprocess.CompletedProcess:
@@ -57,6 +57,14 @@ BISECT_DISTS = {
     "gapped": mixture([(0.4, uniform(0, 3)), (0.6, uniform(5, 9))]),
     "two_bump": mixture([(0.4, uniform(0, 3)), (0.6, uniform(2, 5))]),
 }
+
+
+@pytest.fixture
+def value_calls(monkeypatch):
+    """The points of every ``IronedVirtualCost.value`` call, in call order."""
+    calls, value = [], IronedVirtualCost.value
+    monkeypatch.setattr(IronedVirtualCost, "value", lambda self, c: calls.append(c) or value(self, c))
+    return calls
 
 
 def spread_levels(iv: IronedVirtualCost, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -312,40 +320,6 @@ class TestIronInverse:
             # replace() gives a copy with no solved levels
             assert replace(iv).inverse(levels).tolist() == bisect_one_round_per_call(iv, levels).tolist()
 
-    @pytest.mark.parametrize("depth", range(1, 7))
-    def test_walk_tables_match_one_round_at_a_time(self, depth):
-        # every comparison pattern of up to four rounds (each repeated to
-        # 2,000 rows or more) and 2,000 seeded ones of five or six; bracket
-        # widths a few tolerances wide make levels stop at every round of the
-        # chunk, and wide ones never stop
-        rng = np.random.default_rng(depth)
-        nodes = 2**depth - 1
-        if depth <= 4:
-            lefts = (np.arange(2**nodes)[:, None] >> np.arange(nodes)) & 1 == 1
-            lefts = np.tile(lefts, (-(-2000 // len(lefts)), 1))
-        else:
-            lefts = rng.random((2000, nodes)) < 0.5
-        n = len(lefts)
-        l = rng.choice([-3.0, 0.0, 0.25, 1.0, 7.5, 1e3], n) + rng.uniform(0.0, 1.0, n)
-        tol = 1e-15 * np.maximum(1.0, np.abs(l))
-        h = l + np.where(rng.random(n) < 0.1, 1.0, tol * rng.uniform(0.0, 2.0**depth, n))
-        # brackets [0, 1e-15 * 2**k] halve exactly, so a width meets the bound exactly
-        tie = rng.random(n) < 0.05
-        l, h = np.where(tie, 0.0, l), np.where(tie, 1e-15 * 2.0 ** rng.integers(1, depth + 1, n), h)
-        mids = [0.5 * (l + h)[:, None]]  # the chunk's heap order, as the bisection builds it
-        L, H = l[:, None], h[:, None]
-        for _ in range(depth - 1):
-            L, H = np.concatenate([mids[-1], L], axis=1), np.concatenate([H, mids[-1]], axis=1)
-            mids.append(0.5 * (L + H))
-        mids = np.concatenate(mids, axis=1)
-        got, want = _walk(l, h, mids, lefts), walk_one_round_at_a_time(l, h, mids, lefts)
-        assert [a.dtype for a in got] == [a.dtype for a in want]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-        # rounds each level stays open: a shorter chunk is a prefix of the columns
-        rounds_open = sum(walk_one_round_at_a_time(l, h, mids[:, : 2**d - 1], lefts[:, : 2**d - 1])[2]
-                          for d in range(1, depth + 1))
-        assert set(rounds_open.tolist()) == set(range(depth + 1))
-
     def test_fresh_level_takes_at_most_twelve_value_calls(self, monkeypatch):
         # one round per call took 53 to 57 calls on these
         calls = []
@@ -356,6 +330,43 @@ class TestIronInverse:
             before = len(calls)
             iv.inverse(float(np.median(iv.values)))
             assert 2 <= len(calls) - before <= 12
+
+    def test_fresh_median_level_takes_at_most_four_value_calls(self, value_calls):
+        # the end values, then one predicted path per call
+        for name, dist in BISECT_DISTS.items():
+            iv = iron(dist)
+            value_calls.clear()
+            iv.inverse(float(np.median(iv.values)))
+            assert len(value_calls) <= 4, name
+
+    def test_jump_and_flat_levels_take_no_more_value_calls_than_the_tree(self, value_calls):
+        # the six-round tree took 10 calls on each of these levels, where a
+        # first prediction can be refuted early: jumps at the counterexample's
+        # kinks, and flat levels whose root lies at or just past a flat's top
+        cases = [(non_implement_dist(), level) for level in (40.0, 50.0, 100.0)]
+        cases += [(dist, level) for dist in (BISECT_DISTS["gapped"], BISECT_DISTS["two_bump"])
+                  for *_, level in iron(dist).flats]
+        for dist, level in cases:
+            iv = iron(dist)
+            value_calls.clear()
+            iv.inverse(level)
+            assert len(value_calls) <= 10, (dist, level)
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_kernel_matches_one_round_per_call_on_any_function(self, n):
+        # f need not be monotone nor jump only at aimed points; a range of
+        # 1e60 bisected to a small root runs into the 200-round cap; a start
+        # bracket already closed still runs its first round; few and many
+        # levels build their paths apart
+        rng = np.random.default_rng(n)
+        wavy, steps = (lambda x: np.sin(7.0 * x) + 0.1 * x), (lambda x: np.floor(3.0 * x))
+        for f, lo, hi in ((wavy, 0.0, 20.0), (steps, 0.0, 5.0), (np.log1p, 0.0, 1e60), (steps, 1e6, 1e6 + 5e-10)):
+            xs = np.linspace(lo, hi, 50)
+            fs = np.maximum.accumulate(f(xs))
+            q = np.append(rng.uniform(fs[0] - 0.5, fs[-1] + 0.5, n - 1), 0.25)
+            got = _bisect(f, q, lo, hi, (xs, fs), rng.uniform(lo, hi, 3))
+            want = bisect_brackets_one_round_per_call(f, q, lo, hi)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_nan_level_raises(self):
         iv = iron(exponential(1.0))
@@ -428,6 +439,13 @@ class TestQuantile:
         levels = [*np.linspace(0.0, 1.0, 301).tolist(), 1e-12, 1.0 - 1e-12,
                   *(float(dist.cdf(a)) for a, _ in dist.atoms), *(float(dist.cdf_left(a)) for a, _ in dist.atoms)]
         assert [dist.quantile(q) for q in levels] == [quantile_one_round_per_call(dist, q) for q in levels]
+
+    def test_closed_start_bracket(self):
+        # two atoms closer than the bracket tolerance: the first round still runs
+        dist = mixture([(0.5, point_mass(1e6)), (0.5, point_mass(1e6 + 5e-10))])
+        for q in (0.25, 0.5, 0.75, 1.0):
+            assert dist.quantile(q) == quantile_one_round_per_call(dist, q)
+        assert dist.quantile(0.75) == 1e6 + 5e-10
 
 
 class TestRhr:
