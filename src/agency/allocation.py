@@ -163,9 +163,10 @@ def envelope_rule(instance: Instance, alpha: float, support: tuple[float, float]
 
 def virtual_rule(instance: Instance, iv: IronedVirtualCost) -> AllocationRule:
     """Virtual-welfare-maximizing rule over ``iv``'s cost range: welfare
-    argmax composed with the ironed virtual cost; breakpoints are inverse
-    images of the welfare breakpoints. Kept on ``instance`` per ``iv`` (see
-    ``instance.kept``)."""
+    argmax composed with the ironed virtual cost. Its breakpoints are the
+    inverse images of the interior breakpoints of the welfare envelope over
+    the ironed cost's range, solved in one inverse. Kept on ``instance`` per
+    ``iv`` (see ``instance.kept``)."""
     return kept(_virtual_rule, instance, (iv,))
 
 
@@ -181,9 +182,7 @@ def _virtual_rule(instance: Instance, iv: IronedVirtualCost) -> AllocationRule:
     q_rule = envelope_rule(instance, 1.0, (q_lo, q_hi))
 
     pieces = []  # descending cost
-    # every pairwise crossing (the envelope's among them), kept for best_linear
-    inner = [*q_rule.breakpoints[1:-1], *_welfare_breakpoint_candidates(instance)]
-    z = [hi, *iv.inverse(np.asarray(inner))[: len(q_rule.breakpoints) - 2].tolist(), lo]
+    z = [hi, *iv.inverse(np.asarray(q_rule.breakpoints[1:-1])).tolist(), lo]
     for k, action in enumerate(q_rule.actions):
         c_hi, c_lo = min(hi, z[k]), max(lo, z[k + 1])
         if c_hi > c_lo:

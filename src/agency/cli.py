@@ -267,9 +267,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.passed else EXIT_FAIL
 
 
+def _given(args, *names) -> dict:
+    """The ``reproduce`` options among ``names`` that the user passed; the
+    builder supplies the rest and keeps every value in its ``params``."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _checks_gap(args) -> list[dict]:
-    n, delta = args.n, args.delta
-    ex = build("gap", n=n, delta=delta)
+    ex = build("gap", **_given(args, "n", "delta"))
+    n, delta = ex.params["n"], ex.params["delta"]
     pm = ex.distributions["point_mass"]
     checks = []
     wel_fact = ex.facts["first_best_welfare_at_unit_cost"]
@@ -298,7 +304,7 @@ def _checks_gap(args) -> list[dict]:
 
 
 def _checks_scaling_uniform(args) -> list[dict]:
-    ex = build("scaling_uniform", n=args.n, delta=args.delta, c_bar=args.cbar)
+    ex = build("scaling_uniform", **_given(args, "n", "delta", "c_bar"))
     inst = ex.instance
     dist = ex.distributions["uniform"]
     dies = ex.facts["welfare_dies_at"]
@@ -309,7 +315,7 @@ def _checks_scaling_uniform(args) -> list[dict]:
     bound = ex.facts["linear_revenue_upper_bound"]
     checks.append({"name": "linear_revenue_upper_bound", "value": rev,
                    "expected": bound, "passed": rev <= bound + 1e-6})
-    n, delta = args.n, args.delta
+    n = ex.params["n"]
     eps = ex.facts["epsilon"]
     t = [0.0] * (n + 1)
     t[n] = (1.0 + eps / 2.0) * inst.gammas[n]
@@ -350,14 +356,14 @@ def _checks_non_implementable(args) -> list[dict]:
 
 
 def _checks_menu(args) -> list[dict]:
-    ex = build("menu", n=args.n, r1=args.r1, r2=args.r2, c_bar=args.cbar)
+    ex = build("menu", **_given(args, "n", "r1", "r2", "c_bar"))
     inst = ex.instance
     contract = ex.contract
     checks = [{"name": "menu_size", "value": menu_size(contract),
                "expected": ex.facts["menu_size"],
                "passed": menu_size(contract) == ex.facts["menu_size"]}]
     worst = 0.0
-    for i in range(1, args.n + 1):
+    for i in range(1, ex.params["n"] + 1):
         k = (i + 1) // 2
         T = inst.expected_payments(contract.profiles[k - 1])
         worst = max(worst, abs(float(T[i]) - ex.facts["expected_payments"][i - 1]))
@@ -377,7 +383,7 @@ def _checks_menu(args) -> list[dict]:
 
 
 def _checks_non_monotone(args) -> list[dict]:
-    audit = non_monotone_audit(args.delta, args.epsilon)
+    audit = non_monotone_audit(**_given(args, "delta", "epsilon"))
     return [
         {"name": "revenue_H_exact", "value": audit["revenue_H"], "expected": 0.5,
          "passed": audit["revenue_H"] == 0.5},
@@ -388,8 +394,8 @@ def _checks_non_monotone(args) -> list[dict]:
 
 
 def _checks_smoothed(args) -> list[dict]:
-    ex = build("smoothed", epsilon=args.epsilon)
-    verdict = verify(ex.instance, ex.distributions["smoothed"], "smooth", epsilon=args.epsilon)
+    ex = build("smoothed", **_given(args, "epsilon"))
+    verdict = verify(ex.instance, ex.distributions["smoothed"], "smooth", epsilon=ex.params["epsilon"])
     return [{"name": "smooth_guarantee", "value": verdict.to_dict(),
              "expected": ex.facts["welfare_guarantee"], "passed": verdict.passed}]
 
@@ -413,6 +419,10 @@ def cmd_reproduce(args) -> int:
 def cmd_check_ic(args) -> int:
     inst, _ = load_instance(args.instance)
     contract = load_contract(args.contract)
+    for k, profile in enumerate(contract.profiles):
+        if len(profile.payments) != inst.m + 1:
+            raise InputError(f"{args.contract}: profiles[{k}] has {len(profile.payments)} payments, "
+                             f"expected {inst.m + 1} (one per outcome)")
     rep = check_menu_ic(inst, contract)
     report = _report(
         "check-ic",
@@ -477,9 +487,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--n", type=int, default=None)
     pr.add_argument("--delta", type=float, default=None)
     pr.add_argument("--epsilon", type=float, default=None)
-    pr.add_argument("--r1", type=float, default=10.0)
+    pr.add_argument("--r1", type=float, default=None)
     pr.add_argument("--r2", type=float, default=None)
-    pr.add_argument("--cbar", type=float, default=None)
+    pr.add_argument("--cbar", type=float, default=None, dest="c_bar")
     pr.add_argument("--out")
     pr.set_defaults(func=cmd_reproduce)
 
@@ -491,20 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-#: ``reproduce`` options whose default depends on the example.
-_EXAMPLE_DEFAULTS = {"gap": {"n": 10, "delta": 0.01}, "scaling_uniform": {"n": 5, "delta": 0.1, "cbar": 5.0},
-                     "menu": {"n": 8}, "non_monotone": {"delta": 0.02, "epsilon": 0.01}, "smoothed": {"epsilon": 0.1}}
-
-
-def _fill_defaults(args) -> None:
-    for key, value in _EXAMPLE_DEFAULTS.get(getattr(args, "example", None), {}).items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    _fill_defaults(args)
     try:
         return args.func(args)
     except InputError as exc:

@@ -383,9 +383,11 @@ class MenuContract:
     def __post_init__(self) -> None:
         if len(self.breakpoints) != len(self.profile_index) + 1:
             raise ValueError("need one profile index per breakpoint interval")
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in self.profile_index):
+            raise ValueError(f"profile_index must hold integers, got {list(self.profile_index)}")
         if any(i < 0 or i >= len(self.profiles) for i in self.profile_index):
             raise ValueError("profile index out of range")
-        if any(a <= b for a, b in zip(self.breakpoints[:-1], self.breakpoints[1:])):
+        if any(not a > b for a, b in zip(self.breakpoints[:-1], self.breakpoints[1:])):
             raise ValueError(f"breakpoints must strictly descend, got {list(self.breakpoints)}")
 
     @property

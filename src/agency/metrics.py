@@ -345,18 +345,17 @@ def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
 def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, float]:
     """Revenue-maximizing linear share.
 
-    Candidates: a uniform grid of :data:`ALPHA_GRID` shares, plus every
-    ratio q/z of a distribution landmark q (atom, kink, support end, or
-    inverse-ironed welfare breakpoint) to a welfare crossing z; these are
-    exactly where the revenue curve kinks. A golden-section pass then
-    polishes the best bracket.
+    With the welfare envelope's actions in ascending cost, crossings z_k
+    and reward drops dR_k > 0, the revenue of share a is
+    ``(1 - a) * (R_last + sum_k dR_k * G(a * z_k))`` (Dütting, Roughgarden
+    and Talgam-Cohen, EC 2019), so it depends on the distribution only
+    through G and kinks only where ``a * z`` meets a support end, a density
+    kink or an atom. Candidates: a uniform grid of :data:`ALPHA_GRID`
+    shares, plus every ratio q/z of such a landmark q to a pairwise welfare
+    crossing z. A golden-section pass then polishes the best bracket.
     """
     zs = _welfare_breakpoint_candidates(instance)
-    landmarks: list[float] = [dist.c_low, dist.effective_high()]
-    landmarks += [loc for loc, _ in dist.atoms]
-    landmarks += [k for k in dist.kinks() if math.isfinite(k)]
-    if not dist.has_atoms:
-        landmarks += ironed(dist).inverse(np.asarray(zs)).tolist()
+    landmarks = [dist.c_low, dist.effective_high(), *(k for k in dist.kinks() if math.isfinite(k))]
     ratios = (np.asarray(landmarks)[:, None] / np.asarray(zs)[None, :]).ravel()
     ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]
     alphas = np.unique(np.concatenate([np.linspace(0.0, 1.0, ALPHA_GRID), ratios]))

@@ -17,7 +17,7 @@ virtual cost exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -350,26 +350,23 @@ class TypeDistribution:
                 return a
         return hi
 
-    def virtual_cost(self, x, side: str = "auto") -> np.ndarray | float:
+    def virtual_cost(self, x) -> np.ndarray | float:
         """Virtual cost ``c + G(c)/g(c)``.
 
         Undefined exactly at an atom; raises when the density vanishes.
         Atoms strictly below ``x`` are fine, their mass is folded into G.
-        ``side="auto"`` takes the right-hand density, or the left-hand one
-        where the right-hand one vanishes (at the support top and at the
-        start of a zero-density gap).
+        The density is the right-hand one, or the left-hand one where the
+        right-hand one vanishes (at the support top and at the start of a
+        zero-density gap).
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         for a, _ in self.atoms:
             if np.any(np.abs(xa - a) <= 1e-12 * max(1.0, abs(a))):
                 raise UndefinedAtAtomError(f"virtual cost undefined at atom {a:g}")
-        if side == "auto":
-            g = np.asarray(self.pdf(xa, side="right"), dtype=float)
-            use_left = g <= 0
-            if use_left.any():
-                g = np.where(use_left, np.asarray(self.pdf(xa, side="left"), dtype=float), g)
-        else:
-            g = np.asarray(self.pdf(xa, side=side), dtype=float)
+        g = np.asarray(self.pdf(xa, side="right"), dtype=float)
+        use_left = g <= 0
+        if use_left.any():
+            g = np.where(use_left, np.asarray(self.pdf(xa, side="left"), dtype=float), g)
         if (g <= 0).any():
             bad = float(xa[np.argmax(g <= 0)])
             raise ZeroDensityError(f"density is zero at c={bad:g}")
@@ -531,7 +528,6 @@ class IronedVirtualCost:
     values: np.ndarray
     flats: tuple[tuple[float, float, float], ...]
     dist: TypeDistribution
-    _solved: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # level -> inverse
 
     @property
     def c_low(self) -> float:
@@ -555,7 +551,7 @@ class IronedVirtualCost:
         safe = xa
         for mask, lo, _ in inside:
             safe = np.where(mask, lo, safe)
-        out = np.atleast_1d(np.asarray(self.dist.virtual_cost(safe, side="auto"), dtype=float))
+        out = np.atleast_1d(np.asarray(self.dist.virtual_cost(safe), dtype=float))
         for mask, _, lev in inside:
             out[mask] = lev
         return float(out[0]) if scalar else out
@@ -564,17 +560,14 @@ class IronedVirtualCost:
         """Largest cost whose ironed virtual cost does not exceed ``q``, for
         a level or an array of levels; a NaN level raises ``ValueError``.
 
-        Each level is solved at most once per ironed object: solved levels
-        are kept, and one bisection runs on the new ones together, pricing
-        one predicted path per level and ``value`` call."""
+        The distinct levels are solved by one bisection, pricing one
+        predicted path per level and ``value`` call; a level's bits do not
+        depend on the levels it is solved with."""
         qa = np.atleast_1d(np.asarray(q, dtype=float))
         if np.isnan(qa).any():
             raise ValueError("cannot invert the ironed virtual cost at level nan")
-        levels = qa.ravel().tolist()
-        new = np.unique([v for v in levels if v not in self._solved])
-        if new.size:
-            self._solved.update(zip(new.tolist(), self._bisect(new).tolist()))
-        out = np.asarray([self._solved[v] for v in levels], dtype=float).reshape(qa.shape)
+        levels, back = np.unique(qa, return_inverse=True)
+        out = self._bisect(levels)[back].reshape(qa.shape) if qa.size else qa
         return float(out[0]) if np.ndim(q) == 0 else out
 
     def _bisect(self, qa: np.ndarray) -> np.ndarray:
@@ -740,7 +733,7 @@ def iron(dist: TypeDistribution) -> IronedVirtualCost:
     tol = 1e-10 * np.maximum(1.0, np.abs(chord[:-1]))
     # a zero-density stretch (dG = 0) always needs the hull to bridge it
     if np.all(dG > 0) and np.all(np.diff(chord) >= -tol):
-        values = np.asarray(dist.virtual_cost(grid, side="auto"), dtype=float)
+        values = np.asarray(dist.virtual_cost(grid), dtype=float)
         return IronedVirtualCost(grid=grid, values=values, flats=(), dist=dist)
 
     hull = np.asarray(_lower_hull(G, cG))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +177,12 @@ class TestReproduce:
         code, out, _ = run(["reproduce", "smoothed", "--epsilon", "0.5"], capsys)
         assert code == 0
 
+    def test_menu_defaults_are_the_builders(self, capsys):
+        # the builder alone holds the defaults; passing them changes no byte
+        _, plain, _ = run(["reproduce", "menu"], capsys)
+        code, explicit, _ = run(["reproduce", "menu", "--n", "8", "--r1", "10"], capsys)
+        assert code == 0 and explicit == plain
+
 
 class TestCheckIc:
     def test_linear_contract_passes(self, instance_file, tmp_path, capsys, monkeypatch):
@@ -222,6 +229,24 @@ class TestCheckIc:
         assert code == 1
         assert str(p) in err
         assert "breakpoints" in err
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda c: c["assignment"].update(profile_index=[1, 0.5, 0]), "profile_index"),
+        (lambda c: c["assignment"].update(profile_index=[1, 1.0, 0]), "profile_index"),
+        (lambda c: c["assignment"].update(profile_index=[1, True, 0]), "profile_index"),
+        (lambda c: c["profiles"][1].pop(), "profiles[1] has 2 payments, expected 3"),
+        (lambda c: c["assignment"]["breakpoints"].__setitem__(1, float("nan")), "breakpoints"),
+    ], ids=["half_index", "float_index", "bool_index", "short_profile", "nan_breakpoint"])
+    def test_malformed_golden_contract_names_the_file(self, edit, needle, tmp_path, capsys):
+        golden = Path(__file__).parent / "data" / "golden" / "inputs"
+        contract = json.loads((golden / "binary_contract.json").read_text())
+        edit(contract)
+        p = tmp_path / "contract.json"
+        p.write_text(json.dumps(contract))
+        argv = ["check-ic", "--instance", str(golden / "binary_instance.json"), "--contract", str(p)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert str(p) in err and needle in err
 
 
 def test_grid_env_ignored(instance_file, capsys, monkeypatch):

@@ -379,8 +379,8 @@ class TestKeptResults:
                 assert bisections == [] and max(sizes, default=1) <= 1, (theorem, sizes)
 
     def test_verdict_sequence_makes_one_bisection(self, monkeypatch):
-        # the first inverse (the virtual rule's, under lin_bounded_1) solves
-        # every welfare crossing; upper_n's best_linear finds its levels kept
+        # the virtual rule (under lin_bounded_1, kept on the instance) is the
+        # only inverse; upper_n's best_linear never irons
         bisect = IronedVirtualCost._bisect
         for inst, dist in battery(27, 8):
             ironed.cache_clear()

@@ -9,9 +9,15 @@ virtual rule and ``verify`` reports. After a deliberate change to a report,
 rewrite the expected files and results with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+and list every field that would change, with its old and new value and
+the relative change, without writing anything::
+
+    PYTHONPATH=src python tests/test_golden.py --diff
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -124,7 +130,68 @@ def test_library_results_bit_for_bit(k):
     assert json.dumps(_library_results(pair), sort_keys=True) == json.dumps(pair["expected"], sort_keys=True)
 
 
+def test_diff_lists_each_changed_leaf():
+    old = _parsed('{"a": 1.0, "b": [1, "x"], "c": {"d": 2.0}, "f": 4}')
+    new = _parsed('{"a": 1.5, "b": [1, "y"], "c": {"d": 2.0}, "e": 3, "f": 4.0}')
+    assert list(_changes(old, new)) == [(".a", 1.0, 1.5), (".b[1]", "x", "y"), (".e", None, 3), (".f", 4, 4.0)]
+    assert [_relative(a, b) for _, a, b in _changes(old, new)] == [
+        "+5.00e-01 relative", "not numeric", "not numeric", "+0.00e+00 relative"]
+    assert list(_changes(_parsed("alpha,revenue\n0.5,1\n"), _parsed("alpha,revenue\n0.5,1.25\n"))) == [
+        ("[1][1]", 1.0, 1.25)]
+
+
+def _parsed(text: str):
+    """A report as data: JSON, or CSV rows with numeric cells as floats."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return [[_number(cell) for cell in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _changes(old, new, path: str = ""):
+    """``(path, old, new)`` for every leaf that differs between two parsed
+    reports; a missing leaf is ``None``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _changes(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for k, (a, b) in enumerate(zip(old, new)):
+            yield from _changes(a, b, f"{path}[{k}]")
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def _relative(old, new) -> str:
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)]
+    if not all(numbers):
+        return "not numeric"
+    return f"{(new - old) / abs(old):+.2e} relative" if old else "from zero"
+
+
+def print_diff() -> None:
+    """Print each field of the reports and library results that the code
+    now computes differently from the committed files; write nothing."""
+    for name, (argv, _) in sorted(CALLS.items()):
+        with open(_expected_path(name), encoding="utf-8", newline="") as fh:
+            old = _parsed(fh.read())
+        for path, a, b in _changes(old, _parsed(_run(argv)[1])):
+            print(f"{name}{path}: {a!r} -> {b!r} ({_relative(a, b)})")
+    for k, pair in enumerate(_library_pairs()):
+        for path, a, b in _changes(pair["expected"], json.loads(json.dumps(_library_results(pair)))):
+            print(f"library_pairs[{k}]{path}: {a!r} -> {b!r} ({_relative(a, b)})")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        print_diff()
+        sys.exit()
     os.makedirs(os.path.join(GOLDEN, "expected"), exist_ok=True)
     for name, (argv, exit_code) in sorted(CALLS.items()):
         code, out = _run(argv)

@@ -321,24 +321,19 @@ class TestBestLinear:
                                            outcome_probs=((1, 0, 0), (0, 1, 0), (0, 0.5, 0.5), (0, 0, 1))),
                                   piecewise([(0, 1, d), (1, 4, 0.025 * d), (4, 10, 0.0125 * d)]))]
 
-    def test_virtual_rule_after_best_linear_runs_no_bisection(self, monkeypatch):
-        # best_linear's landmarks hold the virtual rule's inverse levels, bit
-        # for bit, and the ironed object keeps every level it solved
-        pairs = self.one_walk_pairs()
+    def test_best_linear_never_irons(self, monkeypatch):
+        # its candidate shares come from G's own landmarks, not from ironing
         solved = []
         bisect = IronedVirtualCost._bisect
         monkeypatch.setattr(IronedVirtualCost, "_bisect", lambda iv, q: solved.append(len(q)) or bisect(iv, q))
         ironed.cache_clear()
-        for inst, dist in pairs:
-            before = len(solved)
+        for inst, dist in self.one_walk_pairs():
             best_linear(inst, dist)
-            assert len(solved) == before + 1
-            rule = virtual_rule(inst, ironed(dist))
-            assert len(solved) == before + 1 and len(rule.breakpoints) > 2
+        assert ironed.cache_info().currsize == 0 and solved == []
 
     def test_best_linear_after_virtual_rule_runs_no_bisection(self, monkeypatch):
-        # the virtual rule inverts every pairwise welfare crossing, which
-        # holds best_linear's inverse landmarks
+        # the virtual rule inverts its envelope's breakpoints once; best_linear
+        # then inverts nothing
         solved = []
         bisect = IronedVirtualCost._bisect
         monkeypatch.setattr(IronedVirtualCost, "_bisect", lambda iv, q: solved.append(len(q)) or bisect(iv, q))
@@ -349,6 +344,20 @@ class TestBestLinear:
             assert len(solved) == before + 1
             best_linear(inst, dist)
             assert len(solved) == before + 1
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_beats_inverse_ironed_ratios(self, k):
+        # ratios of inverse-ironed welfare crossings to welfare crossings are
+        # not kinks of the revenue curve: none beats the answer on the
+        # atom-free library and battery pairs
+        pairs = [(inst, dist) for inst, dist in [*polish_pairs()[:48], *battery(13, 8)] if not dist.has_atoms]
+        for inst, dist in pairs[k::8]:
+            _, rev = best_linear(inst, dist)
+            zs = np.asarray(_welfare_breakpoint_candidates(inst))
+            ratios = ironed(dist).inverse(zs) / zs
+            ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]
+            if ratios.size:
+                assert rev >= linear_revenue(inst, dist, ratios).max() - 1e-15 * abs(rev)
 
     def test_batched_polish_matches_one_step_per_call(self, monkeypatch):
         # every bracket best_linear polishes, searched both ways

@@ -380,19 +380,17 @@ class TestIronInverse:
         assert iv.inverse(math.inf) == iv.c_high
         assert iv.inverse(np.asarray([math.inf, -math.inf])).tolist() == [iv.c_high, iv.c_low]
 
-    def test_repeated_levels_make_no_value_calls(self, monkeypatch):
+    def test_levels_solve_alike_in_any_batch(self, value_calls):
+        # nothing is kept between calls: a level's bits do not depend on the
+        # levels solved with it; an empty batch makes no value call
         iv = iron(non_implement_dist())
+        value_calls.clear()
+        assert iv.inverse(np.asarray([])).tolist() == [] and value_calls == []
         levels = np.asarray([0.5, 40.0, 50.0, 100.0, 7.25])
         first = iv.inverse(levels)
-        fresh = iron(non_implement_dist()).inverse(3.0)
-        calls = []
-        value = IronedVirtualCost.value
-        monkeypatch.setattr(IronedVirtualCost, "value", lambda self, c: calls.append(c) or value(self, c))
         assert iv.inverse(levels[::-1]).tolist() == first[::-1].tolist()
-        assert iv.inverse(50.0) == first[2] and calls == []
-        # only the new level is solved; the kept ones answer as before
-        assert iv.inverse(np.asarray([3.0, 40.0])).tolist() == [fresh, first[1]]
-        assert calls
+        assert iv.inverse(50.0) == first[2]
+        assert iv.inverse(np.asarray([3.0, 40.0, 3.0])).tolist() == [iv.inverse(3.0), first[1], iv.inverse(3.0)]
 
     def test_round_trip_property(self):
         for dist in (uniform(0, 2), exponential(1.0), non_implement_dist()):
