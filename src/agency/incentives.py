@@ -387,6 +387,9 @@ class MenuContract:
             raise ValueError(f"profile_index must hold integers, got {list(self.profile_index)}")
         if any(i < 0 or i >= len(self.profiles) for i in self.profile_index):
             raise ValueError("profile index out of range")
+        if any(isinstance(z, bool) or not isinstance(z, (int, float, np.integer, np.floating)) or not math.isfinite(z)
+               for z in self.breakpoints):
+            raise ValueError(f"breakpoints must be finite numbers, got {list(self.breakpoints)}")
         if any(not a > b for a, b in zip(self.breakpoints[:-1], self.breakpoints[1:])):
             raise ValueError(f"breakpoints must strictly descend, got {list(self.breakpoints)}")
 

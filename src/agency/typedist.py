@@ -7,11 +7,14 @@ point-mass counterexamples; the virtual-cost machinery refuses them.
 
 The virtual cost of type ``c`` is ``c + G(c)/g(c)``. It is ironed in
 quantile space, as in Myerson's optimal auction: the virtual cost
-integrated against dG is exactly ``c G(c)``, so the lower convex hull of the
-points ``(G(c), c G(c))`` on a kink-refined grid gives the ironed function
-as its slope. Hull edges that skip grid points become flats (zero-density
-gaps included); everywhere else the ironed function follows the raw
-virtual cost exactly.
+integrated against dG is exactly ``c G(c)``, so the ironed function is the
+slope of the lower convex hull of the points ``(G(c), c G(c))``. Hull edges
+become flats (zero-density gaps included); elsewhere the ironed function
+follows the raw virtual cost. Mixtures of uniform and piecewise parts take
+the exact route: G is linear between kinks, so flats are closed forms of
+the kink table and the inverse is read off it. Every other distribution
+takes the grid route: the hull of :data:`IRON_GRID` points, inverted by
+bisection.
 """
 
 from __future__ import annotations
@@ -511,17 +514,25 @@ def to_spec(dist: TypeDistribution) -> dict:
 # ironing
 
 
+def _exact(dist: TypeDistribution) -> bool:
+    """Whether ``dist`` is ironed on the exact route: G is piecewise linear."""
+    return not dist.atoms and all(isinstance(p, (UniformPart, PiecewisePart)) for _, p in dist.parts)
+
+
 @dataclass(frozen=True)
 class IronedVirtualCost:
     """Ironed virtual cost: follows the raw virtual cost outside flats.
 
     Attributes:
-        grid: ascending evaluation grid over the (effective) support.
-        values: ironed virtual cost at the grid points.
-        flats: ``(lo, hi, level)`` intervals where the lower convex hull of
-            the points ``(G(c), c G(c))`` skips grid points; ``level`` is
-            the hull edge's slope, the dG-weighted mean of the virtual cost
-            over the flat.
+        grid: ascending costs over the range that carries mass: the density
+            kinks and flat ends on the exact route, the ironing grid on the
+            grid route (see :func:`iron`).
+        values: ironed virtual cost at the grid points, with the right-hand
+            density, or the left-hand one at the top and at the start of a
+            zero-density gap; on the exact route clipped to the level of a
+            flat the point ends or starts.
+        flats: ``(lo, hi, level)`` intervals where the ironed function is
+            ``level``, the dG-weighted mean of the virtual cost over them.
     """
 
     grid: np.ndarray
@@ -540,34 +551,49 @@ class IronedVirtualCost:
     def value(self, c) -> np.ndarray | float:
         """Ironed virtual cost, clamped to the grid's cost range.
 
-        Inside a flat this is the flat's level. A point inside a flat is
-        moved to the flat's lower end (a hull vertex) before the raw virtual
-        cost is evaluated, so it is never evaluated in a zero-density gap,
-        which always lies inside a flat.
+        Inside a flat this is the flat's level. Elsewhere on the exact route
+        it is the value at the grid point below plus twice the distance to
+        it. On the grid route a point inside a flat is moved to the flat's
+        lower end (a hull vertex) before the raw virtual cost is evaluated,
+        so it is never evaluated in a zero-density gap.
         """
-        scalar = np.isscalar(c) or np.asarray(c).ndim == 0
         xa = np.clip(np.atleast_1d(np.asarray(c, dtype=float)), self.c_low, self.c_high)
         inside = [((xa > lo) & (xa < hi), lo, lev) for lo, hi, lev in self.flats]
-        safe = xa
-        for mask, lo, _ in inside:
-            safe = np.where(mask, lo, safe)
-        out = np.atleast_1d(np.asarray(self.dist.virtual_cost(safe), dtype=float))
+        if _exact(self.dist):
+            i = np.searchsorted(self.grid, xa, side="right") - 1
+            out = self.values[i] + 2.0 * (xa - self.grid[i])
+        else:
+            safe = xa
+            for mask, lo, _ in inside:
+                safe = np.where(mask, lo, safe)
+            out = np.atleast_1d(np.asarray(self.dist.virtual_cost(safe), dtype=float))
         for mask, _, lev in inside:
             out[mask] = lev
-        return float(out[0]) if scalar else out
+        return _checked(out[0] if np.ndim(c) == 0 else out, c, np.asarray(c, dtype=float), "ironed virtual cost")
 
     def inverse(self, q: float | np.ndarray) -> np.ndarray | float:
         """Largest cost whose ironed virtual cost does not exceed ``q``, for
         a level or an array of levels; a NaN level raises ``ValueError``.
 
-        The distinct levels are solved by one bisection, pricing one
-        predicted path per level and ``value`` call; a level's bits do not
+        On the exact route each level is read off the grid: ``(q - e_k)/2``
+        in its cell, or a kink or a flat's top. On the grid route the
+        distinct levels are solved by one bisection, pricing one predicted
+        path per level and ``value`` call. Either way a level's bits do not
         depend on the levels it is solved with."""
         qa = np.atleast_1d(np.asarray(q, dtype=float))
         if np.isnan(qa).any():
             raise ValueError("cannot invert the ironed virtual cost at level nan")
-        levels, back = np.unique(qa, return_inverse=True)
-        out = self._bisect(levels)[back].reshape(qa.shape) if qa.size else qa
+        if _exact(self.dist):  # slope 2 between grid points, except on flats
+            x, start, base = self.grid, self.values[:-1].copy(), self.grid[:-1].copy()
+            for lo, hi, level in self.flats:
+                on = (x[:-1] >= lo) & (x[:-1] < hi)
+                start[on], base[on] = level, x[1:][on]
+            i = np.maximum(np.searchsorted(start, qa, side="right") - 1, 0)
+            out = np.minimum(base[i] + 0.5 * (qa - start[i]), x[i + 1])
+            out = np.where(qa < start[0], x[0], np.where(qa >= self.values[-1], x[-1], out))
+        else:
+            levels, back = np.unique(qa, return_inverse=True)
+            out = self._bisect(levels)[back].reshape(qa.shape) if qa.size else qa
         return float(out[0]) if np.ndim(q) == 0 else out
 
     def _bisect(self, qa: np.ndarray) -> np.ndarray:
@@ -674,46 +700,92 @@ def _path(l: np.ndarray, h: np.ndarray, aim: np.ndarray, depth: int) -> tuple[np
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Indices of the lower convex hull vertices via a monotone chain. Runs
-    of strict left turns on the stack top, found in one array pass, are
-    pushed in bulk; the interpreter visits only the points where it can pop."""
-    turn = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2]) - (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
-    stops = [*(np.flatnonzero(turn <= 0) + 2).tolist(), len(x)]
-    x, y = memoryview(x), memoryview(y)  # each read is a Python float; no list of every point
-    hull: list[int] = []
-    i = k = 0
-    while i < len(x):
-        while stops[k] < i:
-            k += 1
-        if len(hull) >= 2 and hull[-2] == i - 2 and i < stops[k]:
-            hull.extend(range(i, stops[k]))
-            i = stops[k]
-            continue
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
+    """Indices of the lower convex hull vertices, by a monotone chain."""
+    x, y, hull = x.tolist(), y.tolist(), []
+    for i in range(len(x)):
+        while len(hull) >= 2 and ((x[hull[-1]] - x[hull[-2]]) * (y[i] - y[hull[-2]])
+                                  - (y[hull[-1]] - y[hull[-2]]) * (x[i] - x[hull[-2]])) <= 0:
+            hull.pop()
         hull.append(i)
-        i += 1
     return hull
+
+
+def _tangent(x: list, G: list, d: list, e: list, u: int, v: int) -> tuple[float, float, float] | None:
+    """``(level, touch on u, touch on v)`` of the line in the ``(G, c G)``
+    plane that touches elements ``u < v`` of the kink table from below, or
+    None. Element ``2k`` is kink ``k``, ``2k + 1`` cell ``k``: there
+    ``G = d_k (c + e_k)``, and the line of slope L touches at ``(L - e_k)/2``.
+    Adjacent elements meet at their kink, at the cell's virtual cost there."""
+    (a, cu), (b, cv) = divmod(u, 2), divmod(v, 2)
+    if cu and d[a] <= 0 or cv and d[b] <= 0:
+        return None
+    if v == u + 1:
+        return 2.0 * x[b] + e[a], x[b], x[b]
+    if cu and cv:  # d_i (L + e_i)^2 = d_j (L + e_j)^2
+        ri, rj = math.sqrt(d[a]), math.sqrt(d[b])
+        level = (rj * e[b] - ri * e[a]) / (ri - rj) if ri != rj else math.nan
+    elif cu or cv:  # d_i (L + e_i)^2 = 4 G_k (L - x_k), the root on the kink's side
+        i, k = (a, b) if cu else (b, a)
+        A, g = G[k], G[i] + d[i] * (x[k] - x[i])  # g: the cell's G line at x_k
+        root = math.sqrt(A * (A - g)) if A >= g else math.nan
+        level = (2.0 * A * g / (d[i] * (A + root)) if cu else 2.0 * (A + root) / d[i]) - e[i]
+    else:  # the chord
+        level = (x[b] * G[b] - x[a] * G[a]) / (G[b] - G[a]) if G[b] > G[a] else math.nan
+    ends = 0.5 * (level - e[a]) if cu else x[a], 0.5 * (level - e[b]) if cv else x[b]
+    if level != level or cu and not x[a] <= ends[0] <= x[a + 1] or cv and not x[b] <= ends[1] <= x[b + 1]:
+        return None
+    return level, *ends
+
+
+def _iron_exact(dist: TypeDistribution, x: np.ndarray, G: np.ndarray) -> IronedVirtualCost:
+    """:func:`iron` on a piecewise-linear G with kinks ``x`` and CDF ``G``:
+    from the current kink or cell the hull moves to the later element of
+    lowest tangent level (the later on ties); a move past other elements is
+    a flat at that level. O(K^2) tangents for K cells."""
+    d = np.asarray(dist.pdf(x[:-1], side="right"), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = G[:-1] / d - x[:-1]
+    xs, Gs, ds, es = x.tolist(), G.tolist(), d.tolist(), e.tolist()
+    u, pos, flats, last = 0, xs[0], [], 2 * len(xs) - 2
+    while u < last:
+        best = (math.inf,)
+        for v in range(u + 1, last + 1):
+            t = _tangent(xs, Gs, ds, es, u, v)
+            if t is not None and t[0] <= best[0]:
+                best = (*t, v)
+        level, start, end, v = best
+        if v > u + 1 and end > max(start, pos):
+            flats.append((max(start, pos), end, level))
+        u, pos = v, end
+    grid = np.unique(np.concatenate([x, [end for flat in flats for end in flat[:2]]]))
+    values, dens = np.full(len(grid), math.nan), np.append(d, 0.0)
+    with np.errstate(divide="ignore"):  # a kink inside a gap lies inside a flat
+        values[np.searchsorted(grid, x)] = x + G / np.where(dens > 0, dens, np.insert(d, 0, 0.0))
+    for lo, hi, level in flats:
+        values[(grid > lo) & (grid < hi)] = level
+        values[grid == hi] = np.fmax(values[grid == hi], level)
+        values[grid == lo] = np.fmin(values[grid == lo], level)
+    return IronedVirtualCost(grid=grid, values=values, flats=tuple(flats), dist=dist)
 
 
 def iron(dist: TypeDistribution) -> IronedVirtualCost:
     """Iron the virtual cost in quantile space (Myerson 1981).
 
     For an atom-free G the integrated virtual cost is exact without
-    quadrature: ``∫_{c_low}^c φ dG = c G(c)``. On a uniform grid over the
-    range that carries mass, refined with the density kinks, the ironed
-    virtual cost is the slope of the lower convex hull of the points
-    ``(G(c_i), c_i G(c_i))``, whose chain the interpreter visits only where
-    it can pop. A hull edge that skips grid points is a flat at the edge's
-    slope (all flats are built in one array pass); at the hull's vertices
-    the raw virtual cost is kept. A zero-density gap is a single quantile,
-    which the hull bridges with a flat. When the chord slopes already
-    increase, the virtual cost is non-decreasing and is followed pointwise.
+    quadrature: ``∫_{c_low}^c φ dG = c G(c)``, and the ironed virtual cost
+    is the slope of the lower convex hull of the points ``(G(c), c G(c))``
+    over the range that carries mass. A zero-density gap is a single
+    quantile, which the hull bridges with a flat.
+
+    Exact route, for a piecewise-linear G (:func:`_exact`): the hull is
+    walked over the kink table, with each flat in closed form
+    (:func:`_iron_exact`); ``grid`` holds the kinks and the flat ends.
+
+    Grid route, otherwise: ``grid`` is a uniform grid refined with the
+    density kinks. A hull edge that skips grid points is a flat at the
+    edge's slope; at the hull's vertices the raw virtual cost is kept. When
+    the chord slopes already increase, the virtual cost is followed
+    pointwise.
     """
     if dist.has_atoms:
         raise AtomPresentError("ironing requires an atom-free distribution")
@@ -722,7 +794,10 @@ def iron(dist: TypeDistribution) -> IronedVirtualCost:
     # drop zero-density stretches at the ends: the grid runs from the last
     # kink with G = 0 to the first with G = G(hi)
     G_ends = np.asarray(dist.cdf(ends), dtype=float)
-    ends = ends[np.flatnonzero(G_ends > G_ends[0])[0] - 1 : np.flatnonzero(G_ends < G_ends[-1])[-1] + 2]
+    keep = slice(np.flatnonzero(G_ends > G_ends[0])[0] - 1, np.flatnonzero(G_ends < G_ends[-1])[-1] + 2)
+    if _exact(dist):
+        return _iron_exact(dist, ends[keep], G_ends[keep])
+    ends = ends[keep]
     grid = np.unique(np.concatenate([np.linspace(ends[0], ends[-1], IRON_GRID), ends[1:-1]]))
     G = np.asarray(dist.cdf(grid), dtype=float)
     cG = grid * G

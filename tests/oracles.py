@@ -16,10 +16,10 @@ function. The batched searches must return the same bits.
 HiGHS through ``scipy.optimize`` behind the certificate and audit LPs: the
 package's own simplex must reach the same statuses and optimal values.
 
-The lower convex hull behind ``iron`` as a plain monotone chain that visits
-every point, and the flats built from it pair by pair: the chain that pushes
-runs of left turns in bulk, and the flats built in one array pass, must
-return the same indices and the same tuples.
+The lower convex hull behind the grid route of ``iron`` as a plain monotone
+chain on numpy arrays, and the flats built from it pair by pair: the
+package's chain on Python floats, and the flats built in one array pass,
+must return the same indices and the same tuples.
 """
 
 from __future__ import annotations

@@ -236,7 +236,14 @@ class TestCheckIc:
         (lambda c: c["assignment"].update(profile_index=[1, True, 0]), "profile_index"),
         (lambda c: c["profiles"][1].pop(), "profiles[1] has 2 payments, expected 3"),
         (lambda c: c["assignment"]["breakpoints"].__setitem__(1, float("nan")), "breakpoints"),
-    ], ids=["half_index", "float_index", "bool_index", "short_profile", "nan_breakpoint"])
+        # strings compare among themselves, inf computes a verdict on NaN, and
+        # None fails a comparison that names no key
+        (lambda c: c["assignment"].update(breakpoints=["3", "2.1", "1.3", "0"]), "breakpoints"),
+        (lambda c: c["assignment"].update(breakpoints=[float("inf"), 2.1, 1.3, 0]), "breakpoints"),
+        (lambda c: c["assignment"]["breakpoints"].__setitem__(1, None), "breakpoints"),
+    ], ids=["half_index", "float_index", "bool_index", "short_profile", "nan_breakpoint", "string_breakpoints",
+            "inf_breakpoint", "null_breakpoint"])
+    @pytest.mark.filterwarnings("error")
     def test_malformed_golden_contract_names_the_file(self, edit, needle, tmp_path, capsys):
         golden = Path(__file__).parent / "data" / "golden" / "inputs"
         contract = json.loads((golden / "binary_contract.json").read_text())

@@ -34,6 +34,7 @@ from agency import (
     welfare,
 )
 from agency.conditions import REFINE_ROUNDS, SCAN_POINTS
+from agency.typedist import _exact
 from agency.examples import scaling_uniform
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
@@ -80,15 +81,19 @@ class TestSlowVirtual:
         assert got <= ratio.min() + 1e-6
 
     def test_gapped_mixture_matches_exact_inverse_scan(self):
-        # the ratio's infimum sits at the flat level, where the inverse jumps
-        # across the gap; a linearly interpolated inverse gives 0.765567
+        # the ratio's infimum sits at the flat level L = 23/3 + 8/√3, where the
+        # inverse jumps across the gap to the flat's top c2: G(L/2)/G(c2); a
+        # linearly interpolated inverse gives 0.765567
         dist = mixture([(0.4, uniform(0, 3)), (0.6, uniform(5, 9))])
         iv = iron(dist)
         qs = np.concatenate([np.linspace(0.0, float(iv.values[-1]), 100_001), [lev for _, _, lev in iv.flats]])
         den = np.asarray(dist.cdf(iv.inverse(qs)))
         num = np.asarray(dist.cdf(0.5 * qs))
         exact = float(np.min(np.where(den > 0, num / np.maximum(den, 1e-300), np.inf)))
-        assert exact == pytest.approx(0.765469, abs=1e-6)
+        level, c2 = 23.0 / 3.0 + 8.0 / math.sqrt(3.0), 5.0 + math.sqrt(0.12) / 0.15
+        closed = (0.4 + 0.15 * (level / 2.0 - 5.0)) / (0.4 + 0.15 * (c2 - 5.0))
+        assert closed == pytest.approx(0.7655444566, abs=1e-10)
+        assert exact == pytest.approx(closed, rel=1e-12)
         assert slow_virtual_beta(dist, iv, 0.5, 0.0).value == pytest.approx(exact, abs=1e-8)
 
     def test_dominates_plain_slow_increase(self):
@@ -380,7 +385,8 @@ class TestKeptResults:
 
     def test_verdict_sequence_makes_one_bisection(self, monkeypatch):
         # the virtual rule (under lin_bounded_1, kept on the instance) is the
-        # only inverse; upper_n's best_linear never irons
+        # only inverse; upper_n's best_linear never irons; the uniform and
+        # piecewise pairs take the exact route, which bisects nothing
         bisect = IronedVirtualCost._bisect
         for inst, dist in battery(27, 8):
             ironed.cache_clear()
@@ -390,7 +396,7 @@ class TestKeptResults:
             for theorem in ("slow", "universal", "lin_bounded_1", "lin_bounded_2", "upper_n"):
                 verify(*pair, theorem)
             monkeypatch.undo()
-            assert len(bisections) == 1
+            assert len(bisections) == (0 if _exact(dist) else 1)
 
     def test_kappa_echoed_with_its_own_type_and_sign(self):
         inst, dist = battery(25, 1)[0]

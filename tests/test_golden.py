@@ -20,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -138,6 +139,9 @@ def test_diff_lists_each_changed_leaf():
         "+5.00e-01 relative", "not numeric", "not numeric", "+0.00e+00 relative"]
     assert list(_changes(_parsed("alpha,revenue\n0.5,1\n"), _parsed("alpha,revenue\n0.5,1.25\n"))) == [
         ("[1][1]", 1.0, 1.25)]
+    assert _largest(_changes(old, new)) == (".b[1]", "x", "y")
+    assert _largest([(".a", 2.0, 2.5), (".b", -1.0, -2.0), (".c", 1.0, 1.5)]) == (".b", -1.0, -2.0)
+    assert _largest([]) is None
 
 
 def _parsed(text: str):
@@ -175,17 +179,36 @@ def _relative(old, new) -> str:
     return f"{(new - old) / abs(old):+.2e} relative" if old else "from zero"
 
 
+def _largest(changes):
+    """The change ``(path, old, new)`` of largest relative size, or None; a
+    change that is not numeric or starts from zero counts as infinite."""
+    def size(change):
+        _, old, new = change
+        try:
+            return abs(new - old) / abs(old)
+        except (TypeError, ZeroDivisionError):
+            return math.inf
+    return max(changes, key=size, default=None)
+
+
 def print_diff() -> None:
     """Print each field of the reports and library results that the code
-    now computes differently from the committed files; write nothing."""
+    now computes differently from the committed files, then one line per
+    golden file with its largest relative change; write nothing."""
+    changed = {}
     for name, (argv, _) in sorted(CALLS.items()):
         with open(_expected_path(name), encoding="utf-8", newline="") as fh:
             old = _parsed(fh.read())
-        for path, a, b in _changes(old, _parsed(_run(argv)[1])):
-            print(f"{name}{path}: {a!r} -> {b!r} ({_relative(a, b)})")
-    for k, pair in enumerate(_library_pairs()):
-        for path, a, b in _changes(pair["expected"], json.loads(json.dumps(_library_results(pair)))):
-            print(f"library_pairs[{k}]{path}: {a!r} -> {b!r} ({_relative(a, b)})")
+        changed[f"expected/{name}.out"] = list(_changes(old, _parsed(_run(argv)[1])))
+    changed["library_pairs.json"] = [
+        (f"[{k}]{path}", a, b) for k, pair in enumerate(_library_pairs())
+        for path, a, b in _changes(pair["expected"], json.loads(json.dumps(_library_results(pair))))]
+    for file, changes in changed.items():
+        for path, a, b in changes:
+            print(f"{file}{path}: {a!r} -> {b!r} ({_relative(a, b)})")
+    for file, changes in changed.items():
+        top = _largest(changes)
+        print(f"{file}: " + (f"largest change {_relative(*top[1:])} at {top[0]}" if top else "unchanged"))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from agency import (
     piecewise,
     point_mass,
     smoothed_point_mass,
+    truncated_normal,
     uniform,
     virtual_rule,
     virtual_welfare,
@@ -31,6 +32,7 @@ from agency.examples import gap, minimal_linear_alpha, smoothed
 from agency.instance import best_responses
 from agency.allocation import _welfare_breakpoint_candidates
 from agency.metrics import golden_section_max, integrate_against
+from agency.typedist import _exact
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
 from oracles import golden_section_one_step_per_call
@@ -332,18 +334,22 @@ class TestBestLinear:
         assert ironed.cache_info().currsize == 0 and solved == []
 
     def test_best_linear_after_virtual_rule_runs_no_bisection(self, monkeypatch):
-        # the virtual rule inverts its envelope's breakpoints once; best_linear
-        # then inverts nothing
+        # the virtual rule inverts its envelope's breakpoints once, in one
+        # bisection on the grid route and in none on the exact route (the
+        # uniform and piecewise pairs); best_linear then inverts nothing
         solved = []
         bisect = IronedVirtualCost._bisect
         monkeypatch.setattr(IronedVirtualCost, "_bisect", lambda iv, q: solved.append(len(q)) or bisect(iv, q))
         ironed.cache_clear()
-        for inst, dist in self.one_walk_pairs():
-            before = len(solved)
+        inst = self.one_walk_pairs()[-1][0]
+        gapped = mixture([(0.4, uniform(0, 30)), (0.6, truncated_normal(70, 10, 50))])  # a flat across the gap
+        for inst, dist in [*self.one_walk_pairs(), (inst, gapped)]:
+            before, walks = len(solved), 0 if _exact(dist) else 1
             assert len(virtual_rule(inst, ironed(dist)).breakpoints) > 2
-            assert len(solved) == before + 1
+            assert len(solved) == before + walks
             best_linear(inst, dist)
-            assert len(solved) == before + 1
+            assert len(solved) == before + walks
+        assert iron(gapped).flats
 
     @pytest.mark.parametrize("k", range(8))
     def test_beats_inverse_ironed_ratios(self, k):

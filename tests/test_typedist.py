@@ -28,7 +28,8 @@ from agency import (
     uniform,
 )
 
-from agency.typedist import _bisect
+from agency import typedist
+from agency.typedist import _bisect, _exact
 from oracles import bisect_brackets_one_round_per_call, bisect_one_round_per_call, quantile_one_round_per_call
 
 
@@ -48,6 +49,7 @@ def non_implement_dist():
 
 #: Ironing inputs of the bisection oracle tests: the regular families, the
 #: counterexample with its jumps, a zero-density gap and a two-bump density.
+#: The piecewise-constant ones take the exact route and bisect nothing.
 BISECT_DISTS = {
     "uniform": uniform(0, 2),
     "exponential": exponential(1.0),
@@ -56,6 +58,13 @@ BISECT_DISTS = {
     "non_implement": non_implement_dist(),
     "gapped": mixture([(0.4, uniform(0, 3)), (0.6, uniform(5, 9))]),
     "two_bump": mixture([(0.4, uniform(0, 3)), (0.6, uniform(2, 5))]),
+}
+
+#: Non-regular inputs that bisect: a truncated normal above a gap, and two
+#: truncated-normal bumps with a flat at about 10.23.
+GRID_FLAT_DISTS = {
+    "gapped_normal": mixture([(0.4, uniform(0, 3)), (0.6, truncated_normal(7, 1, 5))]),
+    "normal_bumps": mixture([(0.4, truncated_normal(1, 0.3, 0)), (0.6, truncated_normal(6, 0.5, 0))]),
 }
 
 
@@ -304,32 +313,41 @@ class TestIronInverse:
         assert type(iv.inverse(50.0)) is float
         assert iv.inverse(np.asarray([])).shape == (0,)
 
-    @pytest.mark.parametrize("name", sorted(BISECT_DISTS))
-    def test_batched_bisection_matches_one_round_per_call(self, name):
+    @pytest.mark.parametrize("name", sorted({**BISECT_DISTS, **GRID_FLAT_DISTS}))
+    def test_batched_bisection_matches_one_round_per_call(self, name, monkeypatch):
         # live levels set the rounds one value call prices: 1, 5 or 12
         # levels six rounds, 30 five, 60 four, 100 three, 200 two, and 5,000
         # one until most have closed; then every flat level and grid values
-        # of the ironed virtual cost, together and one at a time
-        dist = BISECT_DISTS[name]
+        # of the ironed virtual cost, together and one at a time. The exact
+        # route bisects nothing and agrees with the bisection to rounding.
+        dist = {**BISECT_DISTS, **GRID_FLAT_DISTS}[name]
         iv = iron(dist)
         rng = np.random.default_rng(17)
         batches = [spread_levels(iv, n, rng) for n in (1, 5, 12, 30, 60, 100, 200, 5000)]
         assert [len(levels) for levels in batches] == [1, 5, 12, 30, 60, 100, 200, 5000]
         special = np.unique([*(level for _, _, level in iv.flats), *iv.values[::157]])
+        bisections = []
+        monkeypatch.setattr(typedist, "_bisect", lambda *a, f=typedist._bisect: bisections.append(a) or f(*a))
         for levels in [*batches, special, *special[:, None]]:
             # replace() gives a copy with no solved levels
-            assert replace(iv).inverse(levels).tolist() == bisect_one_round_per_call(iv, levels).tolist()
+            got, want = replace(iv).inverse(levels), bisect_one_round_per_call(iv, levels)
+            if _exact(dist):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            else:
+                assert got.tolist() == want.tolist()
+        assert (bisections == []) == _exact(dist)
 
     def test_fresh_level_takes_at_most_twelve_value_calls(self, monkeypatch):
         # one round per call took 53 to 57 calls on these
         calls = []
         value = IronedVirtualCost.value
         monkeypatch.setattr(IronedVirtualCost, "value", lambda self, c: calls.append(c) or value(self, c))
-        for dist in BISECT_DISTS.values():
+        for dist in [*BISECT_DISTS.values(), *GRID_FLAT_DISTS.values()]:
             iv = iron(dist)
             before = len(calls)
             iv.inverse(float(np.median(iv.values)))
-            assert 2 <= len(calls) - before <= 12
+            # the exact route reads the level off the grid
+            assert len(calls) - before == 0 if _exact(dist) else 2 <= len(calls) - before <= 12
 
     def test_fresh_median_level_takes_at_most_four_value_calls(self, value_calls):
         # the end values, then one predicted path per call
@@ -344,7 +362,7 @@ class TestIronInverse:
         # first prediction can be refuted early: jumps at the counterexample's
         # kinks, and flat levels whose root lies at or just past a flat's top
         cases = [(non_implement_dist(), level) for level in (40.0, 50.0, 100.0)]
-        cases += [(dist, level) for dist in (BISECT_DISTS["gapped"], BISECT_DISTS["two_bump"])
+        cases += [(dist, level) for dist in (BISECT_DISTS["gapped"], BISECT_DISTS["two_bump"], *GRID_FLAT_DISTS.values())
                   for *_, level in iron(dist).flats]
         for dist, level in cases:
             iv = iron(dist)
