@@ -20,7 +20,9 @@ from .metrics import best_linear, linear_revenue, virtual_welfare, welfare
 from .typedist import (
     AtomPresentError,
     IronedVirtualCost,
+    PiecewisePart,
     TypeDistribution,
+    UniformPart,
     ironed,
     mixture,
     point_mass,
@@ -77,47 +79,61 @@ def _landmarks(dist: TypeDistribution, alpha: float = 1.0) -> list[float]:
     return pts
 
 
-def _slow_beta(kind: str, dist: TypeDistribution, upper, alpha: float, kappa: float, hi: float) -> ConditionReport:
-    """Largest beta with ``G(alpha c) >= beta G(upper(c))`` for all scanned
-    c in [kappa, hi]; a NaN, or an alpha outside (0, 1], raises ``ValueError``."""
-    reject_nan(alpha=alpha, kappa=kappa)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+def _slow_beta(kind: str, dist: TypeDistribution, lift, alpha: float, kappa: float, lo: float, hi: float,
+               extras) -> ConditionReport:
+    """Largest beta with ``G(alpha max(kappa, lift(x))) >= beta G(x)`` for all
+    scanned types x in [lo, hi], witnessed at the cost ``max(kappa, lift(x))``.
+    The caller has checked alpha and kappa (:func:`_slow_args`)."""
 
-    def ratio(c):
-        c = np.asarray(c, dtype=float)
-        den = np.asarray(dist.cdf(upper(c)), dtype=float)
-        num = np.asarray(dist.cdf(alpha * c), dtype=float)
+    def ratio(x):  # x is the scan's float array, as in every ratio below
+        den = dist.cdf(x)
+        num = dist.cdf(alpha * np.maximum(kappa, lift(x)))
         with np.errstate(all="ignore"):
             return np.where(den > 1e-300, num / den, np.nan)
 
-    lo = max(kappa, dist.c_low)
-    (x, v), = _extremes(ratio, lo, max(hi, lo + 1e-12), _landmarks(dist, alpha))
+    (x, v), = _extremes(ratio, lo, max(hi, lo + 1e-12), extras)
     if not math.isfinite(v):
         v, x = 1.0, lo  # G vanishes on the whole range: vacuous condition
     return ConditionReport(
         kind=kind,
         value=float(min(v, 1.0)),
-        witness=x,
+        witness=max(lift(x), kappa),
         params={"alpha": alpha, "kappa": kappa},
     )
 
 
+def _slow_args(alpha: float, kappa: float) -> None:  # a NaN, or an alpha outside (0, 1], raises
+    reject_nan(alpha=alpha, kappa=kappa)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+
+
 def slowly_increasing_beta(dist: TypeDistribution, alpha: float, kappa: float) -> ConditionReport:
     """Largest beta with ``G(alpha c) >= beta G(c)`` for all scanned c >= kappa."""
-    hi = dist.effective_high()
-    hi_scan = hi / alpha if 0.0 < alpha < 1.0 else hi  # _slow_beta rejects the other alphas
-    return _slow_beta("slowly-increasing", dist, lambda c: c, alpha, kappa, hi_scan)
+    _slow_args(alpha, kappa)
+    return _slow_beta("slowly-increasing", dist, lambda x: x, alpha, kappa, max(kappa, dist.c_low),
+                      dist.effective_high() / alpha, _landmarks(dist, alpha))
 
 
 def slow_virtual_beta(
     dist: TypeDistribution, iv: IronedVirtualCost | None, alpha: float, kappa: float
 ) -> ConditionReport:
-    """Largest beta with ``G(alpha c) >= beta G(inverse_ironed(c))`` from kappa up."""
+    """Largest beta with ``G(alpha c) >= beta G(inverse_ironed(c))`` from kappa up.
+
+    The costs whose inverse is the type x form [ironed(x-), ironed(x+)], and
+    the lowest above kappa is the worst, so beta is the inf over types x from
+    the inverse of kappa up of ``G(alpha max(kappa, ironed(x))) / G(x)``. The
+    scan adds the kinks, the float below each (the ironed cost's left limit),
+    the flat ends, and the inverse of each kink / alpha (a numerator kink)."""
     if dist.has_atoms:
         raise AtomPresentError("slow-virtual condition requires an atom-free distribution")
+    _slow_args(alpha, kappa)
     iv = ironed(dist) if iv is None else iv
-    return _slow_beta("slow-virtual", dist, iv.inverse, alpha, kappa, float(iv.values[-1]))
+    kinks = np.asarray([k for k in dist.kinks() if math.isfinite(k)])
+    lo, *images = iv.inverse(np.concatenate([[kappa], kinks / alpha]))
+    lo = max(np.nextafter(lo, -math.inf), iv.c_low)  # kappa is the worst cost there, also at a jump
+    extras = [*kinks, *np.nextafter(kinks, -math.inf), *(end for flat in iv.flats for end in flat[:2]), *images]
+    return _slow_beta("slow-virtual", dist, iv.value, alpha, kappa, lo, iv.c_high, extras)
 
 
 def linear_bounded_params(
@@ -143,8 +159,7 @@ def _linear_bounded(iv: IronedVirtualCost, dist: TypeDistribution, kappa: float)
         lo = min(1e-9 * max(hi, 1.0), hi / 2)
 
     def ratio(c):
-        c = np.asarray(c, dtype=float)
-        vb = np.asarray(iv.value(c), dtype=float)
+        vb = iv.value(c)
         with np.errstate(all="ignore"):
             return np.where(vb > 0, c / vb, np.nan)
 
@@ -195,7 +210,7 @@ def rhr_bound_alpha_hat(dist: TypeDistribution) -> ConditionReport:
 
     Equals the inf of ``G(c) / (c g(c))`` over the support; implies the
     virtual cost sits above ``(1 + alpha_hat) c``, which is cross-checked
-    on the scan grid and reported.
+    on 512 even points outside any zero-density gap and reported.
     """
     if dist.has_atoms:
         raise AtomPresentError("reverse-hazard bound requires an atom-free distribution")
@@ -205,14 +220,14 @@ def rhr_bound_alpha_hat(dist: TypeDistribution) -> ConditionReport:
         lo = min(1e-9 * max(hi, 1.0), hi / 2)
 
     def ratio(c):
-        c = np.asarray(c, dtype=float)
-        g = np.asarray(dist.pdf(c, side="right"), dtype=float)
-        G = np.asarray(dist.cdf(c), dtype=float)
+        g = dist.pdf(c, side="right")
+        G = dist.cdf(c)
         with np.errstate(all="ignore"):
             return np.where((g > 0) & (c > 0), G / (c * g), np.nan)
 
     (x, v), = _extremes(ratio, lo, hi, _landmarks(dist))
     grid = np.linspace(lo, hi, 512)
+    grid = grid[(dist.pdf(grid, side="right") > 0) | (dist.pdf(grid, side="left") > 0)]
     phi = np.asarray(dist.virtual_cost(grid), dtype=float)
     slack = float(np.min(phi - (1.0 + v) * grid))
     return ConditionReport(
@@ -400,8 +415,11 @@ def verify(
         if epsilon is None:
             raise ValueError("smooth verification needs epsilon")
         canonical = smoothed_point_mass(epsilon)
-        probe = np.linspace(0.0, 2.0, 97)
-        need(np.allclose(np.asarray(dist.cdf(probe)), np.asarray(canonical.cdf(probe)), atol=1e-9),
+        # both CDFs are then linear between kinks: matching at every kink from both sides is exact
+        at = np.asarray(sorted({*dist.kinks(), *canonical.kinks()}))
+        need(all(isinstance(p, (UniformPart, PiecewisePart)) for _, p in dist.parts)
+             and all(np.allclose(cdf(dist, at), cdf(canonical, at), atol=1e-9)
+                     for cdf in (TypeDistribution.cdf, TypeDistribution.cdf_left)),
              "distribution is not the smoothed point mass")
         beta_closed = epsilon / (2.0 * (2.0 - epsilon))
         beta_m = slowly_increasing_beta(dist, 0.5, 0.0).value

@@ -52,9 +52,8 @@ TAIL_EPS = 1e-9
 #: Uniform points of the ironing grid (density kinks are added to them).
 IRON_GRID = 4096
 #: Fewest and most rounds of one predicted bisection path (fewer as more levels
-#: are live, for about 1,024 midpoints a pass), and the most points one call
-#: prices, since a larger call costs more per point.
-_PATH_ROUNDS, _PATH_POINTS, _CALL_POINTS = (8, 64), 1024, 8192
+#: are live, for about 1,024 midpoints a pass).
+_PATH_ROUNDS, _PATH_POINTS = (8, 64), 1024
 
 
 class DistributionError(ValueError):
@@ -624,16 +623,15 @@ def _bisect(f, q: np.ndarray, lo: float, hi: float, table, aims) -> tuple[np.nda
     ``q`` for at most 200 rounds; each stops once its bracket closes. A round
     raises lo to its midpoint m where ``f(m) <= q[k]``, else lowers hi to m.
 
-    Each pass prices a predicted path per open bracket, in one ``f`` call
-    unless it holds more than :data:`_CALL_POINTS` points: the midpoints
-    ``0.5 * (lo + hi)`` that bisecting toward a predicted root visits. The
-    rounds whose comparisons match the prediction are kept, and the first
-    one that does not, so the rounds and their bits are bisection's own
-    whether or not ``f`` is monotone. The first prediction is a secant in
-    the cell of ``table`` (points, ascending values) that brackets the level,
-    later ones a secant on the kept bracket's evaluated ends; a point of
-    ``aims`` in that cell or bracket is aimed at instead, and a prediction
-    outside the bracket aims at its midpoint.
+    Each pass prices a predicted path per open bracket in one ``f`` call: the
+    midpoints ``0.5 * (lo + hi)`` that bisecting toward a predicted root
+    visits. The rounds whose comparisons match the prediction are kept, and
+    the first one that does not, so the rounds and their bits are
+    bisection's own whether or not ``f`` is monotone. The first prediction
+    is a secant in the cell of ``table`` (points, ascending values) that
+    brackets the level, later ones a secant on the kept bracket's evaluated
+    ends; a point of ``aims`` in that cell or bracket is aimed at instead,
+    and a prediction outside the bracket aims at its midpoint.
     """
     xs, fs = table
     i = np.clip(np.searchsorted(fs, q, side="right") - 1, 0, len(xs) - 2)
@@ -649,9 +647,7 @@ def _bisect(f, q: np.ndarray, lo: float, hi: float, table, aims) -> tuple[np.nda
         aim = np.where(point <= b, point, aim)
         mids, last = _path(l, h, aim, int(np.clip(_PATH_POINTS // len(at), *_PATH_ROUNDS)))
         depth, cols, row = len(mids), np.arange(len(mids))[:, None], np.arange(len(at))
-        flat = mids.ravel()
-        vals = np.concatenate([f(flat[k:k + _CALL_POINTS]) for k in range(0, flat.size, _CALL_POINTS)])
-        vals = vals.reshape(mids.shape)
+        vals = f(mids.ravel()).reshape(mids.shape)
         left = vals <= t
         # the first round that refutes the prediction or ends the path
         stop = (cols + depth * ((left == (mids <= aim)) & (cols < np.minimum(last, 199 - rounds)))).min(axis=0)
@@ -671,22 +667,7 @@ def _bisect(f, q: np.ndarray, lo: float, hi: float, table, aims) -> tuple[np.nda
 def _path(l: np.ndarray, h: np.ndarray, aim: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints of up to ``depth`` rounds bisecting each ``[l, h]`` toward
     ``aim``, one row per round, and the round each bracket closes at (else
-    the last), the first round even on a closed bracket. Up to 22 brackets
-    (where the two cost about the same) are walked in floats, more in arrays."""
-    if len(l) > 22:
-        mids, last, still = np.empty((depth, len(l))), np.zeros(len(l), dtype=int), True
-        # each width halves, less at most 2**-52 * max(|l|, |h|) in all: a bracket this wide cannot close
-        track = ((h - l) * 0.5**depth <= 2e-15 * np.maximum(1.0, np.maximum(np.abs(l), np.abs(h)))).any()
-        for d in range(depth):
-            mids[d] = m = 0.5 * (l + h)
-            go = m <= aim
-            l, h = np.where(go, m, l), np.where(go, h, m)
-            if track:
-                still = still & (h - l > 1e-15 * np.maximum(1.0, np.abs(h)))
-                last += still
-                if not still.any():
-                    break
-        return mids[:d + 1], np.minimum(last, d) if track else np.full(len(l), depth - 1)
+    the last), the first round even on a closed bracket."""
     rows = []
     for l, h, t in zip(l.tolist(), h.tolist(), aim.tolist()):
         row = []

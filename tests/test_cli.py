@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,19 @@ class TestAnalyze:
         assert report["metrics"]["best_linear"]["alpha"] == pytest.approx(0.5, abs=1e-6)
         assert "sha256" in report["instance"]
         assert report["tolerances"]["verdict_relative"] == 1e-6
+
+    def test_gapped_distribution(self, instance_file, tmp_path, capsys):
+        # the virtual-cost slack once priced points inside the gap (30, 50): exit 1
+        payload = json.loads(Path(instance_file).read_text())
+        payload["dist"] = {"kind": "mixture", "parts": [
+            {"weight": 0.4, "dist": {"kind": "uniform", "low": 0, "high": 30}},
+            {"weight": 0.6, "dist": {"kind": "uniform", "low": 50, "high": 90}}]}
+        p = tmp_path / "gapped.json"
+        p.write_text(json.dumps(payload))
+        code, out, err = run(["analyze", "--instance", str(p)], capsys)
+        assert (code, err) == (0, "")
+        rhr, = (c for c in json.loads(out)["conditions"] if c["kind"] == "rhr")
+        assert math.isfinite(rhr["params"]["virtual_cost_slack"])
 
     def test_byte_stable(self, instance_file, capsys):
         _, out1, _ = run(["analyze", "--instance", instance_file], capsys)

@@ -69,16 +69,55 @@ class TestSlowVirtual:
         for dist in (uniform(0, 2), exponential(0.8)):
             assert slow_virtual_beta(dist, None, 1.0, 0.0).value >= 1.0 - 1e-9
 
-    def test_exponential_matches_dense_scan(self):
-        dist = exponential(1.0)
-        iv = iron(dist)
-        got = slow_virtual_beta(dist, iv, 0.5, 0.1).value
-        cs = np.linspace(0.1, float(iv.values[-1]), 100_000)
-        inv = np.asarray([min(iv.inverse(q), dist.effective_high()) for q in cs[:: 1000]])
-        num = np.asarray(dist.cdf(0.5 * cs[::1000]))
-        den = np.asarray(dist.cdf(inv))
-        ratio = num / np.maximum(den, 1e-300)
-        assert got <= ratio.min() + 1e-6
+    @pytest.mark.parametrize("dist, beta", [
+        (exponential(1.0), 0.5),  # the inf 2 alpha is a limit at c -> 0
+        (truncated_normal(1, 2, 0), 0.473621),  # at c = 1.679
+    ], ids=["exponential", "truncated_normal"])
+    def test_unbounded_support_finds_the_dip(self, dist, beta):
+        # an even scan of c up to the ironed cost's top (about 1e9 and 3e8
+        # here) stepped over the dip and returned 1.0 there
+        rep = slow_virtual_beta(dist, None, 0.25, 0.0)
+        assert rep.value == pytest.approx(beta, abs=1e-6)
+        assert rep.witness < 2.0
+
+    def test_library_pairs_between_exact_inverse_scan_and_plain_slow_increase(self):
+        # a log- and a linear-spaced scan of c, each point inverted exactly;
+        # the type scan reaches at most 3.75e-8 above it, on exponential pairs
+        # at alpha = 0.25 where the inf is a limit at c -> 0
+        with open(LIBRARY, encoding="utf-8") as fh:
+            dists = [d for d in (from_spec(p["dist"]) for p in json.load(fh)) if not d.has_atoms]
+        assert len(dists) == 44
+        for dist in dists:
+            iv = ironed(dist)
+            top = float(iv.values[-1])
+            cs = np.concatenate([np.geomspace(1e-9, top, 2001), np.linspace(0.0, top, 2001)])
+            den = np.asarray(dist.cdf(iv.inverse(cs)))
+            for alpha in (0.25, 0.5):
+                num = np.asarray(dist.cdf(alpha * cs))
+                scan = float(np.min(num[den > 0] / den[den > 0]))
+                got = slow_virtual_beta(dist, iv, alpha, 0.0).value
+                assert got <= scan + 1e-7, (to_spec(dist), alpha)
+                assert got >= slowly_increasing_beta(dist, alpha, 0.0).value - 1e-9, (to_spec(dist), alpha)
+
+    def test_kappa_inside_a_jump(self):
+        # the ironed cost jumps from 2 to 4 at the type 1, so kappa = 3 is a
+        # cost of that type: G(0.75) / G(1) = 0.45 / 0.6; above it the ratio
+        # falls only to 0.8, at the type 3
+        rep = slow_virtual_beta(piecewise([(0, 1, 0.6), (1, 3, 0.2)]), None, 0.25, 3.0)
+        assert rep.value == pytest.approx(0.75, rel=1e-12)
+        assert rep.witness == 3.0
+
+    def test_inverts_at_most_one_level_per_kink_and_kappa(self, monkeypatch):
+        sizes, inverse = [], IronedVirtualCost.inverse
+        monkeypatch.setattr(IronedVirtualCost, "inverse", lambda self, q: sizes.append(np.size(q)) or inverse(self, q))
+        for dist in (exponential(1.0), truncated_normal(1, 2, 0), mixture([(0.4, uniform(0, 3)), (0.6, uniform(5, 9))]),
+                     mixture([(0.4, truncated_normal(1, .3, 0)), (0.6, truncated_normal(6, .5, 0))])):
+            iv = iron(dist)
+            kinks = [k for k in dist.kinks() if math.isfinite(k)]
+            for alpha, kappa in ((0.25, 0.0), (0.5, 1.0), (1.0, 0.2)):
+                sizes.clear()
+                slow_virtual_beta(dist, iv, alpha, kappa)
+                assert sizes and max(sizes) <= len(kinks) + 1
 
     def test_gapped_mixture_matches_exact_inverse_scan(self):
         # the ratio's infimum sits at the flat level L = 23/3 + 8/√3, where the
@@ -216,6 +255,12 @@ class TestRhrBound:
         rep = rhr_bound_alpha_hat(truncated_normal(0.4, 1.2, 0.0))
         assert rep.params["virtual_cost_slack"] >= -1e-6
 
+    def test_gapped_mixture_skips_the_gap(self):
+        # the slack grid once priced the virtual cost inside (30, 50) and raised
+        rep = rhr_bound_alpha_hat(mixture([(0.4, uniform(0, 30)), (0.6, uniform(50, 90))]))
+        assert rep.value == pytest.approx(0.4 / 0.75, abs=1e-9)  # G / (c g) at c = 50
+        assert 0.0 <= rep.params["virtual_cost_slack"] <= 1e-6
+
 
 class TestVerify:
     def test_exponential_two_approx_to_virtual(self, rng):
@@ -250,6 +295,23 @@ class TestVerify:
         inst = random_instance(rng)
         v = verify(inst, smoothed_point_mass(0.3), "smooth", epsilon=0.3)
         assert v.hypothesis_ok and v.passed
+        # the same distribution written with two uniform halves
+        halves = mixture([(0.8, point_mass(1)), (0.1, uniform(0, 1)), (0.1, uniform(1, 2))])
+        v = verify(inst, halves, "smooth", epsilon=0.2)
+        assert v.hypothesis_ok and v.passed
+
+    def test_smooth_rejects_a_density_matching_between_probes(self, rng):
+        # 0.75 and 0.25 on alternating half-cells of the 97 points the CDF was
+        # once compared at: equal CDFs there, a different distribution
+        inst = random_instance(rng)
+        cells = np.linspace(0.0, 2.0, 193)
+        bumpy = piecewise((a, b, 0.75 if k % 2 == 0 else 0.25) for k, (a, b) in enumerate(zip(cells[:-1], cells[1:])))
+        v = verify(inst, mixture([(0.8, point_mass(1.0)), (0.2, bumpy)]), "smooth", epsilon=0.2)
+        assert not v.hypothesis_ok and not v.passed
+        assert v.notes == ("distribution is not the smoothed point mass",)
+        # a part whose CDF is not linear between kinks fails outright
+        v = verify(inst, mixture([(0.8, point_mass(1.0)), (0.2, exponential(1.0))]), "smooth", epsilon=0.2)
+        assert not v.hypothesis_ok
 
     def test_lin_bounded_2_hypothesis_gate(self, rng):
         inst = random_instance(rng)

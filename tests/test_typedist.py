@@ -315,9 +315,9 @@ class TestIronInverse:
 
     @pytest.mark.parametrize("name", sorted({**BISECT_DISTS, **GRID_FLAT_DISTS}))
     def test_batched_bisection_matches_one_round_per_call(self, name, monkeypatch):
-        # live levels set the rounds one value call prices: 1, 5 or 12
-        # levels six rounds, 30 five, 60 four, 100 three, 200 two, and 5,000
-        # one until most have closed; then every flat level and grid values
+        # live levels set the rounds of each priced path: 64 for up to 16
+        # levels, fewer down to 8 at 128 and more, such as 5,000 levels in one
+        # call of 40,000 points; then every flat level and grid values
         # of the ironed virtual cost, together and one at a time. The exact
         # route bisects nothing and agrees with the bisection to rounding.
         dist = {**BISECT_DISTS, **GRID_FLAT_DISTS}[name]
@@ -374,8 +374,8 @@ class TestIronInverse:
     def test_kernel_matches_one_round_per_call_on_any_function(self, n):
         # f need not be monotone nor jump only at aimed points; a range of
         # 1e60 bisected to a small root runs into the 200-round cap; a start
-        # bracket already closed still runs its first round; few and many
-        # levels build their paths apart
+        # bracket already closed still runs its first round; more levels
+        # price shorter paths
         rng = np.random.default_rng(n)
         wavy, steps = (lambda x: np.sin(7.0 * x) + 0.1 * x), (lambda x: np.floor(3.0 * x))
         for f, lo, hi in ((wavy, 0.0, 20.0), (steps, 0.0, 5.0), (np.log1p, 0.0, 1e60), (steps, 1e6, 1e6 + 5e-10)):
