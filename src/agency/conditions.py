@@ -299,7 +299,9 @@ def _density_non_increasing(dist: TypeDistribution) -> bool:
     grid = np.linspace(lo, hi, SCAN_POINTS)
     g = np.asarray(dist.pdf(grid, side="right"), dtype=float)
     scale = max(float(g.max()), 1e-300)
-    return bool(np.all(np.diff(g) <= 1e-9 * scale))
+    ks = np.asarray([k for k in dist.kinks() if lo < k < hi], dtype=float)  # steps narrower than the grid
+    rise = dist.pdf(ks, side="right") - dist.pdf(ks, side="left")
+    return bool(np.all(np.diff(g) <= 1e-9 * scale) and np.all(rise <= 1e-9 * scale))
 
 
 def _top_action(instance: Instance, iv: IronedVirtualCost) -> int:

@@ -20,12 +20,8 @@ from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, iro
 
 SIMPSON_PANELS = 256
 ALPHA_GRID = 2001
-#: Golden-section steps whose probes one ``f`` call prices, and the bracket
-#: width where the search stops.
-_GOLDEN_DEPTH, _GOLDEN_TOL = 5, 1e-12
 #: Shares whose revenue :func:`compute_metrics` reports.
 REVENUE_PROBES = (0.1, 0.25, 0.5, 0.75, 0.9)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def integrate_against(
@@ -128,6 +124,11 @@ def add_atom_revenue(
     return total
 
 
+def _welfare_actions(instance: Instance) -> tuple[int, ...]:
+    """The welfare envelope's actions over all costs, in ascending cost."""
+    return envelope_rule(instance, 1.0, (0.0, math.inf)).actions[::-1]
+
+
 def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np.ndarray) -> float | np.ndarray:
     """Expected revenue of the linear contract with share ``alpha``, a float
     for a scalar share and an array for an array of shares.
@@ -148,9 +149,7 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np
         hi = lo + 1.0  # pure point mass: rule support is immaterial
     R = instance.expected_reward_array()
     g = instance.gamma_array()
-    acts = instance.__dict__.get("_welfare_actions")  # ascending cost, kept as Instance._frozen keeps arrays
-    if acts is None:
-        acts = instance.__dict__["_welfare_actions"] = envelope_rule(instance, 1.0, (0.0, math.inf)).actions[::-1]
+    acts = kept(_welfare_actions, instance, ())
     a, b = list(acts[:-1]), list(acts[1:])
     T = al[:, None] * R
     # the envelope's own crossing expression: alpha * z differs in the last bit
@@ -303,45 +302,6 @@ def virtual_welfare_quadrature(
 # optimal linear contract
 
 
-def _golden_step(a: float, b: float, c: float, d: float, up: bool) -> tuple[float, float, float, float]:
-    """Bracket ``a, b`` and probes ``c, d`` after one golden-section step:
-    toward ``c`` when ``up`` (f(c) >= f(d)), with ``c`` the new probe, else
-    toward ``d``, with ``d`` the new probe."""
-    return (a, d, d - _INV_PHI * (d - a), c) if up else (c, b, d, c + _INV_PHI * (b - c))
-
-
-def golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, value).
-
-    ``f`` maps an array of points to their values, elementwise. One call
-    prices the new probe of each of the next :data:`_GOLDEN_DEPTH` steps
-    for every outcome of their comparisons, in heap order, and the steps
-    walk that tree: the points and bits of one ``f`` call per step.
-    """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(np.asarray([c, d])).tolist()
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    priced, k = [], 0
-    while b - a > _GOLDEN_TOL:
-        if k >= len(priced):  # node k's children follow fc >= fd (2k+1) and fc < fd (2k+2)
-            tree, probes = [(a, b, c, d, fc >= fd)], []
-            for _ in range(_GOLDEN_DEPTH):
-                steps = [(_golden_step(*node), node[4]) for node in tree]
-                probes += [step[2] if up else step[3] for step, up in steps]
-                tree = [(*step, up) for step, _ in steps for up in (True, False)]
-            priced, k = f(np.asarray(probes)).tolist(), 0
-        up = fc >= fd
-        a, b, c, d = _golden_step(a, b, c, d, up)
-        fc, fd = (priced[k], fc) if up else (fd, priced[k])
-        x, v = (c, fc) if fc >= fd else (d, fd)
-        if v > best_v:
-            best_x, best_v = x, v
-        k = 2 * k + (1 if fc >= fd else 2)
-    return best_x, best_v
-
-
 def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, float]:
     """Revenue-maximizing linear share.
 
@@ -352,22 +312,25 @@ def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, floa
     through G and kinks only where ``a * z`` meets a support end, a density
     kink or an atom. Candidates: a uniform grid of :data:`ALPHA_GRID`
     shares, plus every ratio q/z of such a landmark q to a pairwise welfare
-    crossing z. A golden-section pass then polishes the best bracket.
+    crossing z. Each later pass prices 65 even shares between the best
+    share's two neighbours, until those are at most 1e-15 apart; a share
+    replaces the best only if it is strictly better.
     """
     zs = _welfare_breakpoint_candidates(instance)
     landmarks = [dist.c_low, dist.effective_high(), *(k for k in dist.kinks() if math.isfinite(k))]
     ratios = (np.asarray(landmarks)[:, None] / np.asarray(zs)[None, :]).ravel()
     ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]
     alphas = np.unique(np.concatenate([np.linspace(0.0, 1.0, ALPHA_GRID), ratios]))
-    revs = linear_revenue(instance, dist, alphas)
-    k = int(np.argmax(revs))
-    best_a, best_v = alphas[k], revs[k]
-    lo = float(alphas[k - 1]) if k > 0 else 0.0
-    hi = float(alphas[k + 1]) if k + 1 < len(alphas) else 1.0
-    ga, gv = golden_section_max(lambda a: linear_revenue(instance, dist, a), lo, hi)
-    if gv > best_v:
-        best_a, best_v = ga, gv
-    return float(best_a), float(best_v)
+    best_a, best_v = 0.0, -math.inf
+    while True:
+        revs = linear_revenue(instance, dist, alphas)
+        k = int(np.argmax(revs))  # the first maximum: ties go to the lowest share
+        if revs[k] > best_v:
+            best_a, best_v = alphas[k], revs[k]
+        lo, hi = alphas[max(k - 1, 0)], alphas[min(k + 1, len(alphas) - 1)]
+        if hi - lo <= 1e-15:
+            return float(best_a), float(best_v)
+        alphas = np.linspace(lo, hi, 65)
 
 
 # ---------------------------------------------------------------------------

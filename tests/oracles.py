@@ -10,8 +10,9 @@ so they are at least the grid's.
 
 Sequential searches, one step per call: the bisections behind
 ``IronedVirtualCost.inverse`` and ``TypeDistribution.quantile``, and the
-golden-section polish of ``best_linear``, and the bisection kernel on any
-function. The batched searches must return the same bits.
+bisection kernel on any function, where the batched searches must return
+the same bits; and a golden-section polish of ``best_linear``'s scan
+bracket, which its refinement of that scan must match or beat.
 
 HiGHS through ``scipy.optimize`` behind the certificate and audit LPs: the
 package's own simplex must reach the same statuses and optimal values.

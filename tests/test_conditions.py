@@ -281,6 +281,27 @@ class TestVerify:
         assert v.guarantee == pytest.approx(4 * 3.0 / (eta * 2.0), rel=1e-9)
         assert v.passed
 
+    @staticmethod
+    def narrow_spike(shift: float) -> TypeDistribution:
+        # density 205 on a step a tenth of the scan's spacing, 0.095 elsewhere
+        step = 10.0 / (SCAN_POINTS - 1)
+        s = shift + 37.3 * step
+        return mixture([(0.95, uniform(shift, shift + 10.0)), (0.05, uniform(s, s + 0.1 * step))])
+
+    def test_narrow_step_up_fails_non_increasing(self):
+        inst = random_instance(np.random.default_rng(3))
+        v = verify(inst, self.narrow_spike(0.0), "wel_implications")
+        assert not v.hypothesis_ok and not v.passed
+        assert "density is not non-increasing" in v.notes
+        v = verify(inst, self.narrow_spike(1.0), "rev_implications", variant="non_increasing")
+        assert "need non-increasing density, c_low > 0, kappa > 1" in v.notes
+
+    def test_wel_implications_exponential(self):
+        for seed in range(4):
+            inst = random_instance(np.random.default_rng(seed))
+            v = verify(inst, exponential(8.0 / welfare_top(inst)), "wel_implications")
+            assert v.hypothesis_ok and v.passed, v.notes
+
     def test_upper_n_battery(self):
         for inst, dist in battery(21, 8):
             v = verify(inst, dist, "upper_n")

@@ -14,6 +14,8 @@ and list every field that would change, with its old and new value and
 the relative change, without writing anything::
 
     PYTHONPATH=src python tests/test_golden.py --diff
+
+which exits 1 when any golden file would change and 0 when none would.
 """
 
 import contextlib
@@ -144,6 +146,17 @@ def test_diff_lists_each_changed_leaf():
     assert _largest([]) is None
 
 
+def test_diff_reports_whether_anything_changed(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "CALLS", {"reproduce_gap": CALLS["reproduce_gap"]})
+    monkeypatch.setattr(sys.modules[__name__], "_library_pairs", lambda: [])
+    assert print_diff() is False
+    stale = tmp_path / "reproduce_gap.out"
+    stale.write_text('{"stale": 1.0}\n', encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "_expected_path", lambda name: str(stale))
+    assert print_diff() is True
+    assert "expected/reproduce_gap.out: largest change" in capsys.readouterr().out
+
+
 def _parsed(text: str):
     """A report as data: JSON, or CSV rows with numeric cells as floats."""
     try:
@@ -191,10 +204,11 @@ def _largest(changes):
     return max(changes, key=size, default=None)
 
 
-def print_diff() -> None:
+def print_diff() -> bool:
     """Print each field of the reports and library results that the code
     now computes differently from the committed files, then one line per
-    golden file with its largest relative change; write nothing."""
+    golden file with its largest relative change; write nothing. True if
+    any field changed."""
     changed = {}
     for name, (argv, _) in sorted(CALLS.items()):
         with open(_expected_path(name), encoding="utf-8", newline="") as fh:
@@ -209,12 +223,12 @@ def print_diff() -> None:
     for file, changes in changed.items():
         top = _largest(changes)
         print(f"{file}: " + (f"largest change {_relative(*top[1:])} at {top[0]}" if top else "unchanged"))
+    return any(changed.values())
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        print_diff()
-        sys.exit()
+        sys.exit(1 if print_diff() else 0)
     os.makedirs(os.path.join(GOLDEN, "expected"), exist_ok=True)
     for name, (argv, exit_code) in sorted(CALLS.items()):
         code, out = _run(argv)

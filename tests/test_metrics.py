@@ -31,7 +31,7 @@ from agency import metrics
 from agency.examples import gap, minimal_linear_alpha, smoothed
 from agency.instance import best_responses
 from agency.allocation import _welfare_breakpoint_candidates
-from agency.metrics import golden_section_max, integrate_against
+from agency.metrics import integrate_against
 from agency.typedist import _exact
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
@@ -66,6 +66,19 @@ class TestLinearRevenue:
             r = inst.reward_array()
             want = np.array([inst.expected_payments(x * r) for x in al])[:, None, :]
             assert seen.pop().tobytes() == want.tobytes()
+
+    def test_welfare_envelope_built_once_per_instance(self, monkeypatch, rng):
+        # every share takes its actions from one all-costs envelope, kept
+        # on the instance (``instance.kept``)
+        built = []
+        rule = metrics.envelope_rule
+        monkeypatch.setattr(metrics, "envelope_rule", lambda inst, *args: built.append(args) or rule(inst, *args))
+        inst, dist = random_instance(rng), uniform(0.1, 5.0)
+        for a in np.linspace(0.0, 1.0, 40):
+            linear_revenue(inst, dist, float(a))
+        linear_revenue(inst, dist, np.linspace(0.0, 1.0, 40))
+        best_linear(inst, dist)
+        assert built == [(1.0, (0.0, math.inf))]
 
     def test_full_giveaway_and_null(self, rng):
         inst = random_instance(rng)
@@ -365,36 +378,33 @@ class TestBestLinear:
             if ratios.size:
                 assert rev >= linear_revenue(inst, dist, ratios).max() - 1e-15 * abs(rev)
 
-    def test_batched_polish_matches_one_step_per_call(self, monkeypatch):
-        # every bracket best_linear polishes, searched both ways
-        searches = []
-        monkeypatch.setattr(metrics, "golden_section_max",
-                            lambda f, lo, hi: searches.append((f, lo, hi)) or golden_section_max(f, lo, hi))
-        results = [best_linear(inst, dist) for inst, dist in polish_pairs()]
-        assert len(searches) == len(results) == 60
-        for f, lo, hi in searches:
-            assert type(lo) is float and type(hi) is float
-            assert golden_section_max(f, lo, hi) == golden_section_one_step_per_call(f, lo, hi)
-        monkeypatch.setattr(metrics, "golden_section_max", golden_section_one_step_per_call)
-        assert [best_linear(inst, dist) for inst, dist in polish_pairs()] == results
+    def test_beats_scan_then_one_step_golden_polish(self, monkeypatch):
+        # the golden-section search this refinement replaced: the same
+        # scan, then one-step-per-call golden section on the argmax bracket
+        scans = []
+        revenue = metrics.linear_revenue
+        monkeypatch.setattr(metrics, "linear_revenue", lambda inst, dist, a: scans.append(a) or revenue(inst, dist, a))
+        for inst, dist in polish_pairs():
+            before = len(scans)
+            _, rev = best_linear(inst, dist)
+            alphas = scans[before]
+            revs = revenue(inst, dist, alphas)
+            k = int(np.argmax(revs))
+            lo = float(alphas[k - 1]) if k > 0 else 0.0
+            hi = float(alphas[k + 1]) if k + 1 < len(alphas) else 1.0
+            old = max(revs[k], golden_section_one_step_per_call(lambda a: revenue(inst, dist, a), lo, hi)[1])
+            assert rev >= old - 1e-15 * abs(rev)
 
-    def test_golden_section_on_ties_and_steps(self):
-        # equal values at both probes decide every step the same way
-        for f in (lambda x: np.floor(np.asarray(x) * 8.0), lambda x: -np.abs(np.asarray(x) - 0.3),
-                  lambda x: np.zeros_like(np.asarray(x, dtype=float)), lambda x: np.sin(9.0 * np.asarray(x))):
-            for lo, hi in ((0.0, 1.0), (0.29, 0.31), (0.5, 0.5 + 1e-11)):
-                assert golden_section_max(f, lo, hi) == golden_section_one_step_per_call(f, lo, hi)
-
-    def test_at_most_twelve_revenue_calls(self, monkeypatch):
-        # the grid, the first two probes and about nine priced trees; one
-        # share per call took 45 to 47 calls
+    def test_at_most_nine_revenue_calls(self, monkeypatch):
+        # the scan and eight refinements, each 32 times narrower than the last
         calls = []
         revenue = metrics.linear_revenue
         monkeypatch.setattr(metrics, "linear_revenue", lambda *args: calls.append(args) or revenue(*args))
-        for inst, dist in polish_pairs()[::4]:
+        for inst, dist in polish_pairs():
             before = len(calls)
             best_linear(inst, dist)
-            assert len(calls) - before <= 12
+            assert len(calls) - before <= 9
+            assert len(calls[before][2]) >= metrics.ALPHA_GRID
 
     def test_gap_bounded_by_two(self):
         ex = gap(n=10, delta=0.01)
