@@ -5,20 +5,20 @@ the cost type: welfare maximization, linear-contract best responses, and
 virtual-welfare maximization (by composing with the inverse ironed virtual
 cost). Rules store descending breakpoints; the action on the half-open
 interval ``(z[k+1], z[k]]`` is ``actions[k]``, so the higher action owns
-each breakpoint.
+each breakpoint. Envelopes are exact: a piece survives however narrow it
+is, so every breakpoint is a crossing of two lines that are adjacent on the
+envelope, and no other crossing is one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import Instance, PaymentProfile, as_payments, kept
 from .typedist import IronedVirtualCost
-
-#: Crossings closer than this (in cost) are merged into one breakpoint.
-MERGE_TOL = 1e-9
 
 
 def interval_index(breakpoints, c) -> np.ndarray:
@@ -107,7 +107,7 @@ def _envelope_rule_from_lines(
         while stack:
             j, j_start = stack[-1]
             cross = (intercepts[j] - intercepts[i]) / (gammas[j] - gammas[i])
-            if cross <= j_start + MERGE_TOL:
+            if cross <= j_start:
                 stack.pop()
                 continue
             start = cross
@@ -121,30 +121,10 @@ def _envelope_rule_from_lines(
         b = min(end, hi)
         if b > a:
             pieces.append((a, b, action))
-    if not pieces:
-        # everything collapsed onto the support edge; the last stack piece
-        # (largest cost range) covers the whole support
-        pieces = [(lo, hi, stack[-1][0])]
-    pieces[0] = (lo, pieces[0][1], pieces[0][2])
-    pieces[-1] = (pieces[-1][0], hi, pieces[-1][2])
 
     breakpoints = [hi] + [p[0] for p in pieces[::-1][:-1]] + [lo]
     actions = [p[2] for p in pieces[::-1]]
     return AllocationRule(breakpoints=tuple(breakpoints), actions=tuple(actions))
-
-
-def _crossings(T: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Costs strictly inside ``(lo, hi)`` where two lines ``T[i] - g[i] * c``
-    of different slopes cross, pairs taken in the order ``i < j``."""
-    i, j = np.triu_indices(len(g), 1)
-    i, j = i[g[i] != g[j]], j[g[i] != g[j]]
-    x = (T[i] - T[j]) / (g[i] - g[j])
-    return x[(lo < x) & (x < hi)]
-
-
-def _welfare_breakpoint_candidates(instance: Instance) -> list[float]:
-    """All pairwise welfare crossings (a superset of the true breakpoints)."""
-    return np.unique(_crossings(instance.expected_reward_array(), instance.gamma_array(), 0.0, np.inf)).tolist()
 
 
 def envelope_rule(instance: Instance, alpha: float, support: tuple[float, float]) -> AllocationRule:
@@ -161,39 +141,34 @@ def envelope_rule(instance: Instance, alpha: float, support: tuple[float, float]
     return _envelope_rule_from_lines(T, instance.gamma_array(), R - T, support)
 
 
+def welfare_envelope(instance: Instance) -> AllocationRule:
+    """The welfare-maximizing rule over all costs ``(0, inf)``, kept on
+    ``instance`` (see ``instance.kept``). Its interior breakpoints are the
+    crossings z_k of the welfare envelope; every reader of the welfare
+    envelope takes it from here."""
+    return kept(_welfare_envelope, instance, ())
+
+
+def _welfare_envelope(instance: Instance) -> AllocationRule:
+    return envelope_rule(instance, 1.0, (0.0, math.inf))
+
+
 def virtual_rule(instance: Instance, iv: IronedVirtualCost) -> AllocationRule:
     """Virtual-welfare-maximizing rule over ``iv``'s cost range: welfare
     argmax composed with the ironed virtual cost. Its breakpoints are the
-    inverse images of the interior breakpoints of the welfare envelope over
-    the ironed cost's range, solved in one inverse. Kept on ``instance`` per
-    ``iv`` (see ``instance.kept``)."""
+    inverse images of the welfare envelope's interior breakpoints, solved in
+    one inverse; levels outside the ironed range map to its ends. Kept on
+    ``instance`` per ``iv`` (see ``instance.kept``)."""
     return kept(_virtual_rule, instance, (iv,))
 
 
 def _virtual_rule(instance: Instance, iv: IronedVirtualCost) -> AllocationRule:
     lo, hi = iv.c_low, iv.c_high
-    q_lo, q_hi = iv.value(np.asarray([lo, hi], dtype=float)).tolist()
-    if not q_lo < q_hi:
-        # constant ironed virtual cost: a single action wins everywhere
-        R = instance.expected_reward_array()
-        vwel = R - instance.gamma_array() * q_lo
-        best = int(np.flatnonzero(vwel >= vwel.max() - MERGE_TOL)[-1])
-        return AllocationRule(breakpoints=(hi, lo), actions=(best,))
-    q_rule = envelope_rule(instance, 1.0, (q_lo, q_hi))
-
-    pieces = []  # descending cost
-    z = [hi, *iv.inverse(np.asarray(q_rule.breakpoints[1:-1])).tolist(), lo]
-    for k, action in enumerate(q_rule.actions):
-        c_hi, c_lo = min(hi, z[k]), max(lo, z[k + 1])
-        if c_hi > c_lo:
-            pieces.append((c_lo, c_hi, action))
-    if not pieces:
-        pieces = [(lo, hi, int(q_rule.actions[-1]))]
-    pieces[0] = (pieces[0][0], hi, pieces[0][2])
-    pieces[-1] = (lo, pieces[-1][1], pieces[-1][2])
-    breakpoints = [hi] + [p[0] for p in pieces[:-1]] + [lo]
-    actions = [p[2] for p in pieces]
-    return AllocationRule(breakpoints=tuple(breakpoints), actions=tuple(actions))
+    envelope = welfare_envelope(instance)
+    z = [hi, *iv.inverse(np.asarray(envelope.breakpoints[1:-1])).tolist(), lo]
+    wins = [k for k in range(len(envelope.actions)) if z[k] > z[k + 1]]  # pieces of positive width
+    return AllocationRule(breakpoints=(hi, *(z[k + 1] for k in wins[:-1]), lo),
+                          actions=tuple(envelope.actions[k] for k in wins))
 
 
 def rule_from_payments(

@@ -39,7 +39,7 @@ from .incentives import (
     menu_revenue,
     menu_size,
 )
-from .instance import ROW_SUM_TOL, TIE_TOL, Instance, PaymentProfile, validate
+from .instance import ROW_SUM_TOL, TIE_TOL, Instance, PaymentProfile, is_number, validate
 from .metrics import best_linear, compute_metrics, linear_revenue, welfare
 from .typedist import (IRON_GRID, MASS_TOL, AtomPresentError, DistributionError, TypeDistribution, from_spec,
                        ironed, to_spec)
@@ -67,6 +67,16 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _check_numbers(path: str, key: str, value) -> None:
+    """Raise an ``InputError`` naming the file and the key (``F[1][2]``) of
+    the first entry of ``value``, arrays nested, that is not a finite number."""
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            _check_numbers(path, f"{key}[{i}]", v)
+    elif not is_number(value):
+        raise InputError(f"{path}: {key} must be a finite number, got {json.dumps(value)}")
+
+
 def load_instance(path: str) -> tuple[Instance, TypeDistribution | None]:
     raw = _load_json(path)
     for key in ("gammas", "rewards", "F"):
@@ -74,6 +84,7 @@ def load_instance(path: str) -> tuple[Instance, TypeDistribution | None]:
             raise InputError(f"{path}: missing key '{key}'")
         if not isinstance(raw[key], list):
             raise InputError(f"{path}: key '{key}' must be an array")
+        _check_numbers(path, key, raw[key])
     try:
         inst = Instance(
             gammas=tuple(raw["gammas"]),
@@ -107,6 +118,8 @@ def load_contract(path: str) -> MenuContract:
     for key in ("profiles", "assignment"):
         if key not in raw:
             raise InputError(f"{path}: missing key '{key}'")
+    _check_numbers(path, "profiles", raw["profiles"])
+    _check_numbers(path, "u_bar", raw.get("u_bar", 0.0))
     try:
         return MenuContract.from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:

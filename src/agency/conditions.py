@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .instance import Instance, best_response, kept, reject_nan
+from .allocation import virtual_rule
+from .instance import Instance, kept, reject_nan
 from .metrics import best_linear, linear_revenue, virtual_welfare, welfare
 from .typedist import (
     AtomPresentError,
@@ -305,9 +306,8 @@ def _density_non_increasing(dist: TypeDistribution) -> bool:
 
 
 def _top_action(instance: Instance, iv: IronedVirtualCost) -> int:
-    """The action the virtual welfare rule gives the highest type: the best
-    response to the full rewards at the top ironed virtual cost."""
-    return int(best_response(instance, instance.rewards, float(iv.value(iv.c_high))).action)
+    """The action the virtual welfare rule gives the highest type."""
+    return virtual_rule(instance, iv).actions[0]
 
 
 def smoothed_point_mass(epsilon: float) -> TypeDistribution:

@@ -11,8 +11,9 @@ best contract for a distribution of atoms are small LPs, decided for every
 ``t >= 0`` rather than on a grid by the package's own dense simplex; its
 float answer only picks the active set, and a certificate holds only when
 the dual solved on that set in ``Fraction`` proves it.
-A menu's selection gap and D* kink only where two of its (action, profile)
-lines cross, so its IC is checked exactly there and at its breakpoints.
+A menu's selection gap and D* kink only where the envelope of its (action,
+profile) lines or one profile's own envelope kinks, so its IC is checked
+exactly there and at its breakpoints.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import (AllocationRule, _crossings, _envelope_rule_from_lines, interval_index, rule_from_payments,
-                         virtual_rule)
-from .instance import TIE_TOL, Instance, PaymentProfile, best_responses, linear_payments
+from .allocation import AllocationRule, _envelope_rule_from_lines, interval_index, rule_from_payments, virtual_rule
+from .instance import TIE_TOL, Instance, PaymentProfile, best_responses, is_number, linear_payments
 from .metrics import add_atom_revenue
 from .typedist import TypeDistribution, ironed
 
@@ -105,7 +105,10 @@ class CurvatureCheck:
 
 
 def _deviation_candidates(instance: Instance, T: np.ndarray, path: _ActionPath) -> np.ndarray:
-    return np.unique(np.concatenate([path.knots, _crossings(T, instance.gamma_array(), *path.support)]))
+    """The path's knots and the kinks of the utility envelope under ``T``."""
+    R = instance.expected_reward_array()
+    envelope = _envelope_rule_from_lines(T, instance.gamma_array(), R - T, path.support)
+    return np.unique(np.concatenate([path.knots, envelope.breakpoints]))
 
 
 def _utility_envelope(instance: Instance, T: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -387,8 +390,7 @@ class MenuContract:
             raise ValueError(f"profile_index must hold integers, got {list(self.profile_index)}")
         if any(i < 0 or i >= len(self.profiles) for i in self.profile_index):
             raise ValueError("profile index out of range")
-        if any(isinstance(z, bool) or not isinstance(z, (int, float, np.integer, np.floating)) or not math.isfinite(z)
-               for z in self.breakpoints):
+        if not all(map(is_number, self.breakpoints)):
             raise ValueError(f"breakpoints must be finite numbers, got {list(self.breakpoints)}")
         if any(not a > b for a, b in zip(self.breakpoints[:-1], self.breakpoints[1:])):
             raise ValueError(f"breakpoints must strictly descend, got {list(self.breakpoints)}")
@@ -508,15 +510,20 @@ def _menu_checkpoints(instance: Instance, contract: MenuContract) -> tuple[np.nd
     """The types where a menu's selection gap and D* can peak, and the
     profile each is checked with, ``[2, types]``.
 
-    On an assignment interval both are piecewise linear in the type, with
-    kinks only where two (action, profile) lines cross, so the checkpoints
-    are every crossing inside the support and every breakpoint. The
-    intervals are half-open, so a breakpoint is checked with the profile of
-    the interval it owns and with that of the interval above it.
+    On an assignment interval the gap is the menu's utility envelope minus
+    the assigned profile's, and D* is the menu path's effort integral minus
+    the assigned profile's envelope; the path follows that profile's
+    envelope between breakpoints. So both are piecewise linear in the type,
+    with kinks only at breakpoints and at kinks of the menu envelope or of
+    a profile's envelope, and those are the checkpoints. The intervals are
+    half-open, so a breakpoint is checked with the profile of the interval
+    it owns and with that of the interval above it.
     """
-    T, g, _ = _menu_columns(instance, contract)
+    T, g, R = _menu_columns(instance, contract)
     z = np.asarray(contract.breakpoints)
-    types = np.unique(np.concatenate([_crossings(T[0], g, *contract.support), z]))
+    kinks = [_envelope_rule_from_lines(T[0], g, R - T[0], contract.support).breakpoints,
+             *(rule_from_payments(instance, p, contract.support).breakpoints for p in contract.profiles)]
+    types = np.unique(np.concatenate([*kinks, z]))
     k = interval_index(z, types)
     return types, np.asarray(contract.profile_index)[np.stack([k, np.maximum(k - (types == z[k]), 0)])]
 

@@ -11,6 +11,7 @@ resolved with an explicit absolute tolerance.
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -146,6 +147,12 @@ class Instance:
     def expected_payments(self, t: PaymentProfile | Sequence[float] | np.ndarray) -> np.ndarray:
         """Expected payment per action for the payment profile ``t``."""
         return self.prob_matrix() @ as_payments(t)
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite real number (a bool, string or None is not)."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+            and math.isfinite(value))
 
 
 def reject_nan(**args) -> None:

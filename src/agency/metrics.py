@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import AllocationRule, _welfare_breakpoint_candidates, envelope_rule, virtual_rule
+from .allocation import virtual_rule, welfare_envelope
 from .instance import Instance, best_responses, kept
 from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, ironed
 
@@ -66,14 +66,6 @@ def integrate_against(
 # welfare
 
 
-def welfare_rule(instance: Instance, dist: TypeDistribution) -> AllocationRule:
-    """Welfare-maximizing rule over the distribution's (effective) support."""
-    lo, hi = dist.c_low, dist.effective_high()
-    if hi <= lo:
-        hi = lo + 1.0  # pure point mass: any window containing it works
-    return envelope_rule(instance, 1.0, (lo, hi))
-
-
 def welfare(
     instance: Instance,
     dist: TypeDistribution,
@@ -85,10 +77,10 @@ def welfare(
 
 
 def _welfare(instance: Instance, dist: TypeDistribution, interval: tuple[float, float] | None) -> float:
-    rule = welfare_rule(instance, dist)
-    lo, hi = interval if interval is not None else rule.support
-    lo = max(lo, rule.support[0])
-    hi = min(hi, rule.support[1])
+    rule = welfare_envelope(instance)
+    lo, hi = dist.c_low, max(dist.effective_high(), dist.c_low)
+    if interval is not None:
+        lo, hi = max(lo, interval[0]), min(hi, interval[1])
     if hi < lo:
         return 0.0
     R = instance.expected_reward_array()
@@ -124,11 +116,6 @@ def add_atom_revenue(
     return total
 
 
-def _welfare_actions(instance: Instance) -> tuple[int, ...]:
-    """The welfare envelope's actions over all costs, in ascending cost."""
-    return envelope_rule(instance, 1.0, (0.0, math.inf)).actions[::-1]
-
-
 def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np.ndarray) -> float | np.ndarray:
     """Expected revenue of the linear contract with share ``alpha``, a float
     for a scalar share and an array for an array of shares.
@@ -145,11 +132,9 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np
         raise ValueError("alpha must lie in [0, 1]")
     al = np.atleast_1d(shares)
     lo, hi = dist.c_low, dist.effective_high()
-    if hi <= lo:
-        hi = lo + 1.0  # pure point mass: rule support is immaterial
     R = instance.expected_reward_array()
     g = instance.gamma_array()
-    acts = kept(_welfare_actions, instance, ())
+    acts = welfare_envelope(instance).actions[::-1]
     a, b = list(acts[:-1]), list(acts[1:])
     T = al[:, None] * R
     # the envelope's own crossing expression: alpha * z differs in the last bit
@@ -181,7 +166,7 @@ def linear_revenue_quadrature(instance: Instance, dist: TypeDistribution, alpha:
     lo, hi = dist.c_low, dist.effective_high()
     cont = 0.0
     if hi > lo:
-        breaks = [alpha * z for z in _welfare_breakpoint_candidates(instance)]
+        breaks = [alpha * z for z in welfare_envelope(instance).breakpoints[1:-1]]
         cont = integrate_against(dist, f, lo, hi, extra_breaks=breaks, include_atoms=False, endpoint_inset=1e-9)
     if dist.atoms:
         T = instance.expected_payments(alpha * instance.reward_array())
@@ -311,12 +296,12 @@ def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, floa
     and Talgam-Cohen, EC 2019), so it depends on the distribution only
     through G and kinks only where ``a * z`` meets a support end, a density
     kink or an atom. Candidates: a uniform grid of :data:`ALPHA_GRID`
-    shares, plus every ratio q/z of such a landmark q to a pairwise welfare
-    crossing z. Each later pass prices 65 even shares between the best
-    share's two neighbours, until those are at most 1e-15 apart; a share
-    replaces the best only if it is strictly better.
+    shares, plus every ratio q/z of such a landmark q to a crossing z.
+    Each later pass prices 65 even shares between the best share's two
+    neighbours, until those are at most 1e-15 apart; a share replaces the
+    best only if it is strictly better.
     """
-    zs = _welfare_breakpoint_candidates(instance)
+    zs = welfare_envelope(instance).breakpoints[1:-1]
     landmarks = [dist.c_low, dist.effective_high(), *(k for k in dist.kinks() if math.isfinite(k))]
     ratios = (np.asarray(landmarks)[:, None] / np.asarray(zs)[None, :]).ravel()
     ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]

@@ -26,6 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .instance import is_number
+
 __all__ = [
     "DistributionError",
     "AtomPresentError",
@@ -465,19 +467,28 @@ def from_spec(spec: dict) -> TypeDistribution:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DistributionError("distribution spec must be an object with a 'kind' key")
     kind = spec["kind"]
+
+    def num(record: dict, key: str, where: str = ""):
+        if not is_number(record[key]):
+            raise DistributionError(f"distribution kind '{kind}' key '{where}{key}' must be a finite number, "
+                                    f"got {record[key]!r}")
+        return record[key]
+
     try:
         if kind == "uniform":
-            return uniform(spec["low"], spec["high"])
+            return uniform(num(spec, "low"), num(spec, "high"))
         if kind == "exponential":
-            return exponential(spec["rate"])
+            return exponential(num(spec, "rate"))
         if kind == "truncated_normal":
-            return truncated_normal(spec["mu"], spec["sigma"], spec.get("low", 0.0))
+            return truncated_normal(num(spec, "mu"), num(spec, "sigma"), num({"low": 0.0, **spec}, "low"))
         if kind == "piecewise":
-            return piecewise((s["from"], s["to"], s["density"]) for s in spec["segments"])
+            return piecewise(tuple(num(s, key, f"segments[{i}].") for key in ("from", "to", "density"))
+                             for i, s in enumerate(spec["segments"]))
         if kind == "mixture":
-            return mixture((p["weight"], from_spec(p["dist"])) for p in spec["parts"])
+            return mixture((num(p, "weight", f"parts[{i}]."), from_spec(p["dist"]))
+                           for i, p in enumerate(spec["parts"]))
         if kind == "atom":
-            return point_mass(spec["at"])
+            return point_mass(num(spec, "at"))
     except KeyError as exc:
         raise DistributionError(f"distribution kind '{kind}' missing key {exc}") from None
     raise DistributionError(f"unknown distribution kind '{kind}'")

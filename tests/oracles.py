@@ -8,6 +8,10 @@ equal values where the grid contains an optimum. Likewise the type-grid
 menu IC check: the exact check's worst values are suprema over every type,
 so they are at least the grid's.
 
+Every pairwise crossing of a set of lines, a superset of their upper
+envelope's breakpoints: the welfare crossings and the menu checkpoints
+taken from them, which the envelope kinks must match with fewer points.
+
 Sequential searches, one step per call: the bisections behind
 ``IronedVirtualCost.inverse`` and ``TypeDistribution.quantile``, and the
 bisection kernel on any function, where the batched searches must return
@@ -31,13 +35,14 @@ from itertools import combinations
 
 import numpy as np
 
-from agency.allocation import AllocationRule
+from agency.allocation import AllocationRule, interval_index
 from agency.incentives import (
     CURVATURE_TOL,
     MenuContract,
     MenuIcReport,
     _ActionPath,
     _anchored_dstar,
+    _menu_columns,
     _utility_envelope,
     menu_path,
 )
@@ -267,6 +272,38 @@ def grid_menu_ic(
         passed=bool(gap[worst_gap_k] <= tol and dstar[worst_k] <= tol),
         rows=tuple({"type": float(c), "dstar": float(d), "passed": bool(d <= tol)} for c, d in zip(grid, dstar)),
     )
+
+
+def pairwise_crossings(T: np.ndarray, g: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Costs strictly inside ``(lo, hi)`` where two lines ``T[i] - g[i] * c``
+    of different slopes cross, pairs taken in the order ``i < j``."""
+    i, j = np.triu_indices(len(g), 1)
+    i, j = i[g[i] != g[j]], j[g[i] != g[j]]
+    x = (T[i] - T[j]) / (g[i] - g[j])
+    return x[(lo < x) & (x < hi)]
+
+
+def welfare_crossings(instance: Instance) -> list[float]:
+    """Every pairwise welfare crossing at a positive cost, ascending."""
+    return np.unique(pairwise_crossings(instance.expected_reward_array(), instance.gamma_array(), 0.0, np.inf)).tolist()
+
+
+def pairwise_deviation_candidates(instance: Instance, T: np.ndarray, path: _ActionPath) -> np.ndarray:
+    """``incentives._deviation_candidates`` from every crossing of two lines
+    ``T - gamma * c`` on the path's support instead of the envelope's kinks."""
+    return np.unique(np.concatenate([path.knots, pairwise_crossings(T, instance.gamma_array(), *path.support)]))
+
+
+def pairwise_menu_checkpoints(instance: Instance, contract: MenuContract) -> tuple[np.ndarray, np.ndarray]:
+    """A menu's IC checkpoints as every crossing of two (action, profile)
+    lines inside the support plus every breakpoint, with the same profiles
+    as ``incentives._menu_checkpoints``: a breakpoint with the profile of
+    the interval it owns and with that of the interval above it."""
+    T, g, _ = _menu_columns(instance, contract)
+    z = np.asarray(contract.breakpoints)
+    types = np.unique(np.concatenate([pairwise_crossings(T[0], g, *contract.support), z]))
+    k = interval_index(z, types)
+    return types, np.asarray(contract.profile_index)[np.stack([k, np.maximum(k - (types == z[k]), 0)])]
 
 
 def bisect_one_round_per_call(iv: IronedVirtualCost, qa: np.ndarray) -> np.ndarray:

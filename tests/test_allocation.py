@@ -12,8 +12,11 @@ from agency import (
     uniform,
     virtual_rule,
 )
+from agency.allocation import welfare_envelope
+from agency.examples import menu
 
-from conftest import random_instance
+from conftest import battery, random_instance
+from oracles import welfare_crossings
 
 
 def appx_non_implement():
@@ -87,6 +90,26 @@ class TestEnvelopeRule:
             rule = envelope_rule(inst, alpha, (0, 20))
             cs = away_from_breakpoints(rng.uniform(0, 20, 400), rule)
             assert np.all(np.asarray(rule.action_at(cs)) == grid_argmax(inst, alpha, cs))
+
+    def test_crossings_1e_12_apart_keep_both_breakpoints(self):
+        # action 1 wins only on a window 1e-12 wide; an exact envelope keeps it
+        inst = Instance(gammas=(0.0, 1.0, 2.0), rewards=(0.0, 1.0, 2.0 - 1e-12),
+                        outcome_probs=tuple(tuple(row) for row in np.eye(3)))
+        rule = envelope_rule(inst, 1.0, (0.0, 10.0))
+        assert rule.actions == (0, 1, 2)
+        assert rule.breakpoints == (10.0, 1.0, (2.0 - 1e-12) - 1.0, 0.0)
+        assert 0.0 < rule.breakpoints[1] - rule.breakpoints[2] < 2e-12
+
+    def test_welfare_envelope_breakpoints_are_pairwise_crossings(self):
+        # every kink of the welfare envelope is a crossing of two welfare
+        # lines, and between kinks its action is the pointwise argmax
+        insts = [inst for seed in (11, 13) for inst, _ in battery(seed, 8)] + [menu(n=9, r1=20.0).instance]
+        for inst in insts:
+            rule = welfare_envelope(inst)
+            z = np.asarray(rule.breakpoints[1:-1])
+            assert z.size and set(z.tolist()) <= set(welfare_crossings(inst))
+            mids = np.concatenate([[2.0 * z[0]], 0.5 * (z[1:] + z[:-1]), [0.5 * z[-1]]])
+            assert grid_argmax(inst, 1.0, mids).tolist() == list(rule.actions)
 
     def test_actions_monotone(self, rng):
         inst = random_instance(rng)

@@ -270,6 +270,66 @@ class TestCheckIc:
         assert str(p) in err and needle in err
 
 
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda c: c.update(u_bar=float("nan")), "u_bar"),
+        (lambda c: c.update(u_bar=True), "u_bar"),
+        (lambda c: c.update(u_bar="0"), "u_bar"),
+        (lambda c: c["profiles"][0].__setitem__(1, True), "profiles[0][1]"),
+        (lambda c: c["profiles"][1].__setitem__(1, "3"), "profiles[1][1]"),
+        (lambda c: c["profiles"][0].__setitem__(2, None), "profiles[0][2]"),
+    ], ids=["nan_u_bar", "bool_u_bar", "string_u_bar", "bool_payment", "string_payment", "null_payment"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_numeric_contract_values_name_the_key(self, edit, needle, tmp_path, capsys):
+        # float() would coerce each of these, and NaN would be echoed as "nan"
+        golden = Path(__file__).parent / "data" / "golden" / "inputs"
+        contract = json.loads((golden / "binary_contract.json").read_text())
+        edit(contract)
+        p = tmp_path / "contract.json"
+        p.write_text(json.dumps(contract))
+        argv = ["check-ic", "--instance", str(golden / "binary_instance.json"), "--contract", str(p)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert f"{p}: {needle}" in err and "finite number" in err
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda c: c["gammas"].__setitem__(1, "0.6"), "gammas[1]"),
+        (lambda c: c["rewards"].__setitem__(1, True), "rewards[1]"),
+        (lambda c: c["F"][1].__setitem__(2, "0.3"), "F[1][2]"),
+        (lambda c: c["F"][2].__setitem__(0, None), "F[2][0]"),
+    ], ids=["string_gamma", "bool_reward", "string_probability", "null_probability"])
+    def test_non_numeric_instance_values_name_the_key(self, edit, needle, tmp_path, capsys):
+        golden = Path(__file__).parent / "data" / "golden" / "inputs"
+        instance = json.loads((golden / "binary_instance.json").read_text())
+        edit(instance)
+        p = tmp_path / "instance.json"
+        p.write_text(json.dumps(instance))
+        argv = ["check-ic", "--instance", str(p), "--contract", str(golden / "binary_contract.json")]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert f"{p}: {needle}" in err and "finite number" in err
+
+
+@pytest.mark.parametrize("dist, key", [
+    ({"kind": "uniform", "low": 0, "high": "9"}, "high"),
+    ({"kind": "uniform", "low": 0, "high": None}, "high"),
+    ({"kind": "exponential", "rate": "2"}, "rate"),
+    ({"kind": "mixture", "parts": [{"weight": "1", "dist": {"kind": "uniform", "low": 0, "high": 9}}]},
+     "parts[0].weight"),
+    ({"kind": "piecewise", "segments": [{"from": 0, "to": "1", "density": 1}]}, "segments[0].to"),
+    ({"kind": "atom", "at": True}, "at"),
+], ids=["string_high", "null_high", "string_rate", "string_weight", "string_segment_end", "bool_atom"])
+def test_non_numeric_dist_values_name_the_key(dist, key, tmp_path, capsys):
+    # strings once raised a TypeError traceback; true and "1" became 1.0
+    golden = Path(__file__).parent / "data" / "golden" / "inputs"
+    instance = json.loads((golden / "uniform.json").read_text())
+    instance["dist"] = dist
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps(instance))
+    code, out, err = run(["analyze", "--instance", str(p)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{p}: dist: distribution kind '{dist['kind']}' key '{key}' must be a finite number")
+
+
 def test_grid_env_ignored(instance_file, capsys, monkeypatch):
     # the scan density is a constant: the environment cannot change a report
     _, plain, _ = run(["analyze", "--instance", instance_file], capsys)

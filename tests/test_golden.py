@@ -142,6 +142,11 @@ def test_diff_lists_each_changed_leaf():
     assert list(_changes(_parsed("alpha,revenue\n0.5,1\n"), _parsed("alpha,revenue\n0.5,1.25\n"))) == [
         ("[1][1]", 1.0, 1.25)]
     assert _largest(_changes(old, new)) == (".b[1]", "x", "y")
+    shorter = _parsed('{"a": 1.0, "grid": [{"t": 1.0}, {"t": 2.0}, {"t": 3.0}, {"t": 4.0}], "n": 4}')
+    longer = _parsed('{"a": 1.0, "grid": [{"t": 1.0}], "n": 1}')
+    assert list(_changes(shorter, longer)) == [(".grid.length", 4, 1), (".n", 4, 1)]
+    assert [_relative(a, b) for _, a, b in _changes(shorter, longer)] == ["-7.50e-01 relative"] * 2
+    assert _largest([(".grid.length", 4, 1), (".a", 1.0, 1.5)]) == (".grid.length", 4, 1)
     assert _largest([(".a", 2.0, 2.5), (".b", -1.0, -2.0), (".c", 1.0, 1.5)]) == (".b", -1.0, -2.0)
     assert _largest([]) is None
 
@@ -174,11 +179,15 @@ def _number(cell: str):
 
 def _changes(old, new, path: str = ""):
     """``(path, old, new)`` for every leaf that differs between two parsed
-    reports; a missing leaf is ``None``."""
+    reports; a missing leaf is ``None``, and a list whose length changed is
+    the one leaf ``path.length``, its old and new length."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             yield from _changes(old.get(key), new.get(key), f"{path}.{key}")
-    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            yield f"{path}.length", len(old), len(new)
+            return
         for k, (a, b) in enumerate(zip(old, new)):
             yield from _changes(a, b, f"{path}[{k}]")
     elif old != new or type(old) is not type(new):

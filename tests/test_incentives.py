@@ -1,6 +1,5 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -36,14 +35,15 @@ from agency import (
     welfare,
 )
 from agency import incentives
-from agency.allocation import AllocationRule, _crossings
+from agency.allocation import AllocationRule
 from agency.incentives import menu_induced_pieces, menu_selection
 from agency.examples import menu as menu_example
 from agency.examples import non_implementable
 from agency.metrics import integrate_against
 
 from conftest import random_binary_action_instance, random_instance, welfare_top
-from oracles import grid_best_contract, grid_certificate, grid_menu_ic, highs_linprog
+from oracles import (grid_best_contract, grid_certificate, grid_menu_ic, highs_linprog, pairwise_deviation_candidates,
+                     pairwise_menu_checkpoints)
 
 
 def appx_non_implement():
@@ -134,15 +134,6 @@ class TestCurvature:
         pay = expected_payment_identity(rule, inst, 0.5)
         chk = curvature_check(inst, rule, 0.5, (0.0, 0.0, pay))
         assert chk.consistent and chk.passed
-
-    def test_crossings_match_pairwise_loop(self, rng):
-        for _ in range(50):
-            k = int(rng.integers(1, 12))
-            g = rng.choice([0.0, 0.5, 1.0, 1.7, 2.5], k)  # repeated slopes never cross
-            T = rng.uniform(0.0, 10.0, k)
-            want = [(T[i] - T[j]) / (g[i] - g[j]) for i, j in combinations(range(k), 2) if g[i] != g[j]]
-            got = _crossings(T, g, 0.5, 6.0)
-            assert got.tobytes() == np.asarray([x for x in want if 0.5 < x < 6.0], dtype=float).tobytes()
 
 
 class TestCertificate:
@@ -603,6 +594,30 @@ class TestExactMenuIc:
         rng = np.random.default_rng(12)
         failed = sum(not self._assert_dominates_grid(*_random_menu(rng)).passed for _ in range(60))
         assert failed > 30  # most of the 60
+
+    def test_envelope_kinks_match_pairwise_crossings(self, monkeypatch):
+        # the parent check took every crossing of two (action, profile)
+        # lines as a checkpoint and as a deviation candidate; the envelope
+        # kinks give the same verdicts and suprema at no more types
+        rng = np.random.default_rng(12)
+        cases = [*_menu_cases(), *(_random_menu(rng) for _ in range(200))]
+        exact = [check_menu_ic(inst, m) for inst, m in cases]
+        monkeypatch.setattr(incentives, "_menu_checkpoints", pairwise_menu_checkpoints)
+        monkeypatch.setattr(incentives, "_deviation_candidates", pairwise_deviation_candidates)
+        for (inst, m), got in zip(cases, exact):
+            want = check_menu_ic(inst, m)
+            assert got.passed == want.passed
+            assert got.worst_selection_gap == pytest.approx(want.worst_selection_gap, rel=0.0, abs=4e-15)
+            assert got.worst_dstar == pytest.approx(want.worst_dstar, rel=0.0, abs=4e-15)
+            assert got.checked_types <= want.checked_types
+        assert len(cases) == 234 and sum(not rep.passed for rep in exact) > 100
+
+    def test_large_menu_checks_envelope_kinks_only(self):
+        # menu(9, r1=20) has 675 pairwise crossings but 50 envelope kinks
+        # and breakpoints
+        ex = menu_example(n=9, r1=20.0)
+        rep = check_menu_ic(ex.instance, ex.contract)
+        assert rep.passed and rep.checked_types <= 50
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_induced_pieces_are_the_menu_envelope(self, n):

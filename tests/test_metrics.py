@@ -30,12 +30,12 @@ from agency import (
 from agency import metrics
 from agency.examples import gap, minimal_linear_alpha, smoothed
 from agency.instance import best_responses
-from agency.allocation import _welfare_breakpoint_candidates
+from agency import allocation
 from agency.metrics import integrate_against
 from agency.typedist import _exact
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
-from oracles import golden_section_one_step_per_call
+from oracles import golden_section_one_step_per_call, welfare_crossings
 
 LIBRARY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "library_pairs.json")
 
@@ -68,15 +68,18 @@ class TestLinearRevenue:
             assert seen.pop().tobytes() == want.tobytes()
 
     def test_welfare_envelope_built_once_per_instance(self, monkeypatch, rng):
-        # every share takes its actions from one all-costs envelope, kept
-        # on the instance (``instance.kept``)
+        # every share, the welfare, the virtual rule and the best share take
+        # their actions from one all-costs envelope, kept on the instance
+        # (``instance.kept``)
         built = []
-        rule = metrics.envelope_rule
-        monkeypatch.setattr(metrics, "envelope_rule", lambda inst, *args: built.append(args) or rule(inst, *args))
+        rule = allocation.envelope_rule
+        monkeypatch.setattr(allocation, "envelope_rule", lambda inst, *args: built.append(args) or rule(inst, *args))
         inst, dist = random_instance(rng), uniform(0.1, 5.0)
         for a in np.linspace(0.0, 1.0, 40):
             linear_revenue(inst, dist, float(a))
         linear_revenue(inst, dist, np.linspace(0.0, 1.0, 40))
+        welfare(inst, dist)
+        virtual_rule(inst, ironed(dist))
         best_linear(inst, dist)
         assert built == [(1.0, (0.0, math.inf))]
 
@@ -127,7 +130,7 @@ def per_share_revenue(inst, dist, alpha):
 def kink_shares(inst, dist):
     """Shares where the revenue curve kinks: landmark over welfare crossing."""
     lands = [dist.c_low, dist.effective_high(), *(k for k in dist.kinks() if math.isfinite(k))]
-    return [q / z for q in lands for z in _welfare_breakpoint_candidates(inst) if 0 < q / z <= 1]
+    return [q / z for q in lands for z in welfare_crossings(inst) if 0 < q / z <= 1]
 
 
 def revenue_curve_pairs():
@@ -312,6 +315,14 @@ class TestMetricsBundle:
 
 
 class TestBestLinear:
+    def test_gap_point_mass_keeps_every_envelope_crossing(self):
+        # gap(10, 0.01)'s welfare crossings approach 1 as 1 + 0.01**k, down
+        # to 2.2e-16 apart: the envelope keeps all nine, and the share just
+        # below 1 extracts the full revenue 2 from the atom
+        ex = gap(n=10, delta=0.01)
+        assert len(allocation.welfare_envelope(ex.instance).breakpoints) == 11
+        assert best_linear(ex.instance, ex.distributions["point_mass"]) == (0.9999999999999998, 2.0)
+
     def test_single_action_point_mass_closed_form(self, rng):
         for _ in range(5):
             r1 = float(rng.uniform(2, 9))
@@ -372,7 +383,7 @@ class TestBestLinear:
         pairs = [(inst, dist) for inst, dist in [*polish_pairs()[:48], *battery(13, 8)] if not dist.has_atoms]
         for inst, dist in pairs[k::8]:
             _, rev = best_linear(inst, dist)
-            zs = np.asarray(_welfare_breakpoint_candidates(inst))
+            zs = np.asarray(welfare_crossings(inst))
             ratios = ironed(dist).inverse(zs) / zs
             ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]
             if ratios.size:
