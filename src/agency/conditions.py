@@ -87,8 +87,7 @@ def _slow_beta(kind: str, dist: TypeDistribution, lift, alpha: float, kappa: flo
     The caller has checked alpha and kappa (:func:`_slow_args`)."""
 
     def ratio(x):  # x is the scan's float array, as in every ratio below
-        den = dist.cdf(x)
-        num = dist.cdf(alpha * np.maximum(kappa, lift(x)))
+        den, num = np.split(dist.cdf(np.concatenate([x, alpha * np.maximum(kappa, lift(x))])), 2)
         with np.errstate(all="ignore"):
             return np.where(den > 1e-300, num / den, np.nan)
 

@@ -125,11 +125,19 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np
     response so knife-edge incentives behave like the model says. The rule
     for share ``alpha`` is the welfare rule with its crossings scaled, so
     every share takes its actions from one envelope and its masses from one
-    CDF call.
+    CDF call. A scalar share's revenue is kept on ``instance`` per ``dist``
+    and share (see ``instance.kept``).
     """
     shares = np.asarray(alpha, dtype=float)
     if not np.all((0.0 <= shares) & (shares <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
+    if shares.ndim == 0:
+        return kept(_linear_revenue, instance, (dist,), alpha=float(shares))
+    return _linear_revenue(instance, dist, shares)
+
+
+def _linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np.ndarray) -> float | np.ndarray:
+    shares = np.asarray(alpha, dtype=float)
     al = np.atleast_1d(shares)
     lo, hi = dist.c_low, dist.effective_high()
     R = instance.expected_reward_array()
@@ -138,9 +146,11 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np
     a, b = list(acts[:-1]), list(acts[1:])
     T = al[:, None] * R
     # the envelope's own crossing expression: alpha * z differs in the last bit
-    cross = (T[:, a] - T[:, b]) / (g[a] - g[b])
-    edges = np.clip(np.concatenate([np.full((len(al), 1), lo), cross, np.full((len(al), 1), hi)], axis=1), lo, hi)
-    G = np.asarray(dist.cdf_continuous(edges), dtype=float)
+    cross = np.clip((T[:, a] - T[:, b]) / (g[a] - g[b]), lo, hi)
+    # every share's rule starts at lo and ends at hi: price those two once
+    priced = np.asarray(dist.cdf_continuous(np.concatenate([[lo, hi], cross.ravel()])), dtype=float)
+    G = np.empty((len(al), len(acts) + 1))
+    G[:, 0], G[:, -1], G[:, 1:-1] = priced[0], priced[1], priced[2:].reshape(cross.shape)
     total = np.zeros(len(al))
     for k, action in enumerate(acts):
         total = total + (G[:, k + 1] - G[:, k]) * (1.0 - al) * R[action]

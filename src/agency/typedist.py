@@ -20,7 +20,7 @@ bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -139,13 +139,131 @@ class ExponentialPart:
         return (0.0,)
 
 
+#: Cody's rational Chebyshev approximations to the normal CDF (Math. Comp. 23,
+#: 1969; ANORM in ACM TOMS 715, 1993), as R's ``pnorm`` evaluates them: A/B
+#: for |x| <= 0.674 in x², C/D up to sqrt(32) in |x|, P/Q beyond in 1/x².
+_A = (2.2352520354606839287, 161.02823106855587881, 1067.6894854603709582, 18154.981253343561249,
+      0.065682337918207449113)
+_B = (47.20258190468824187, 976.09855173777669322, 10260.932208618978205, 45507.789335026729956)
+_C = (0.39894151208813466764, 8.8831497943883759412, 93.506656132177855979, 597.27027639480026226,
+      2494.5375852903726711, 6848.1904505362823326, 11602.651437647350124, 9842.7148383839780218,
+      1.0765576773720192317e-8)
+_D = (22.266688044328115691, 235.38790178262499861, 1519.377599407554805, 6485.558298266760755,
+      18615.571640885098091, 34900.952721145977266, 38912.003286093271411, 19685.429676859990727)
+_P = (0.21589853405795699, 0.1274011611602473639, 0.022235277870649807, 0.001421619193227893466,
+      2.9112874951168792e-5, 0.02307344176494017303)
+_Q = (1.28426009614491121, 0.468238212480865118, 0.0659881378689285515, 0.00378239633202758244,
+      7.29751555083966205e-5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+#: 5-point Gauss-Legendre nodes and weights on [-1, 1], as columns.
+_GAUSS_5 = np.asarray([(0.0, 128.0 / 225.0), *(
+    (s * math.sqrt(5.0 - 2.0 * r * math.sqrt(10.0 / 7.0)) / 3.0, (322.0 + 13.0 * r * math.sqrt(70.0)) / 900.0)
+    for r in (1.0, -1.0) for s in (-1.0, 1.0))]).T[:, :, None]
+#: Widest span above a truncated normal's ``low``, in sigmas over max(1, |z|)
+#: at ``low``, whose CDF is the density's quadrature: there the two log
+#: tails nearly cancel, while the 5-point rule stays within about 1e-15.
+SHORT_SPAN = 0.25
+
+
+def _rational(u: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
+    """One of Cody's forms at ``u``: Horner's rule from the numerator's last
+    coefficient and the denominator's implied leading one, the
+    second-to-last numerator and the last denominator coefficient added
+    without a final product, then their quotient."""
+    n, d = num[-1] * u, u + den[0]
+    n += num[0]
+    n *= u
+    d *= u
+    for a, b in zip(num[1:-2], den[1:-1]):
+        n += a
+        n *= u
+        d += b
+        d *= u
+    n += num[-2]
+    d += den[-1]
+    n /= d
+    return n
+
+
+def _log_ndtr(x) -> np.ndarray:
+    """``log Φ(x)`` elementwise, as R's ``pnorm(log.p=TRUE)`` computes it.
+
+    Near zero ``log(1/2 + x r(x²))``. Beyond, the smaller tail is
+    ``exp(-y²/2) r(y)`` for ``y = |x|``, kept in log space: ``y²/2`` is
+    split at ``trunc(16 y)/16`` so its leading part is exact; the larger tail
+    is ``log1p`` of minus the smaller. Each element is priced by its own
+    region's formula only, so its bits do not depend on the others; NaN
+    stays NaN and no finite input warns."""
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    out = np.empty(x.shape)
+    near = y <= 0.67448975
+    t = x[near]
+    if t.size:
+        out[near] = np.log(0.5 + t * _rational(t * t, _A, _B))
+        if t.size == out.size:
+            return out
+    tail = ~near  # NaN included: it takes the middle form and stays NaN
+    t = np.minimum(y[tail], 1e170)  # beyond, log Φ(-y) is below -1e340 anyway
+    far = t > math.sqrt(32.0)
+    u = t[far]
+    with np.errstate(over="ignore"):  # from 1e154 on y² overflows; so does the tail, to -inf
+        if u.size:
+            ratio = np.empty(t.shape)
+            mid = ~far
+            ratio[mid] = _rational(t[mid], _C, _D)
+            r = 1.0 / (u * u)
+            ratio[far] = (1.0 / math.sqrt(2.0 * math.pi) - r * _rational(r, _P, _Q)) / u
+        else:
+            ratio = _rational(t, _C, _D)
+        sq = np.trunc(t * 16.0) / 16.0
+        small = -sq * (sq * 0.5) - ((t - sq) * (t + sq)) * 0.5 + np.log(ratio)
+    upper = x[tail] > 0.0  # there the smaller tail lies above x
+    v = small[upper]
+    if v.size:
+        small[upper] = np.log1p(-np.exp(v))
+    out[tail] = small
+    return out
+
+
+def _ndtri_exp(y: float) -> float:
+    """The ``x`` with ``log Φ(x) = y``: Wichura's AS241 (Appl. Stat. 37, 1988,
+    as :class:`statistics.NormalDist` holds it) on the smaller tail, or the
+    asymptotic ``x² = -2y - log(-4πy)`` where ``e^y`` underflows, then Newton
+    steps on :func:`_log_ndtr` until a step is below 1e-15 relative."""
+    if not y < 0.0:
+        return math.inf if y == 0.0 else math.nan
+    if y == -math.inf:
+        return -math.inf
+    from statistics import NormalDist  # here only: programs without a truncated normal never load it
+
+    if y > -math.log(2.0):
+        x = -NormalDist().inv_cdf(-math.expm1(y))
+    elif y > -700.0:
+        x = NormalDist().inv_cdf(math.exp(y))
+    else:
+        x = -math.sqrt(2.0) * math.sqrt(-y - 0.5 * (math.log(4.0 * math.pi) + math.log(-y)))  # -2y may overflow
+    for _ in range(16):
+        log_cdf = float(_log_ndtr(x))
+        # d log Φ / dx; far out in the lower tail the two logs would cancel,
+        # and the Mills ratio's expansion is exact to rounding there
+        slope = math.exp(-0.5 * x * x - _LOG_SQRT_2PI - log_cdf) if x > -1e4 else -x - 1.0 / x
+        if slope == 0.0:
+            break
+        step = (log_cdf - y) / slope
+        x -= step
+        if abs(step) <= 1e-15 * abs(x):
+            break
+    return x
+
+
 @dataclass(frozen=True)
 class TruncatedNormalPart:
     """Normal(mu, sigma) conditioned on being at least ``low``.
 
-    Tails are ratios of normal survival functions taken in log space, so a
-    lower bound far above ``mu`` neither rounds the CDF to one nor divides
-    zero by zero. ``scipy.special`` is imported here only, on first use.
+    Tails are ratios of normal survival functions taken in log space
+    (:func:`_log_ndtr`), so a lower bound far above ``mu`` neither rounds the
+    CDF to one nor divides zero by zero.
     """
 
     mu: float
@@ -157,20 +275,41 @@ class TruncatedNormalPart:
 
     def _log_sf(self, x) -> np.ndarray:
         """Log of the untruncated normal mass above ``x``."""
-        from scipy.special import log_ndtr
-
-        return log_ndtr(-self._z(x))
+        return _log_ndtr((self.mu - x) / self.sigma)
 
     @cached_property
     def _log_sf_low(self) -> float:  # log of the mass the truncation keeps
-        return self._log_sf(self.low)
+        return float(self._log_sf(self.low))
 
     def support(self) -> tuple[float, float]:
         return self.low, math.inf
 
+    @cached_property
+    def _short_mass(self) -> float:  # the log route's mass of the span the quadrature prices
+        end = self.low + SHORT_SPAN * self.sigma / max(1.0, abs(self._z(self.low)))
+        return float(-np.expm1(self._log_sf(end) - self._log_sf_low))
+
+    @cached_property
+    def _gauss(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(c, a, b)`` with the 5-point mass on [low, low + 2kσ] equal to
+        ``k Σ exp(c - k (a + b k))``: node i sits at z_low + e_i k, e_i = 1 +
+        ξ_i, so its log density is a quadratic in k, and its weight joins c."""
+        z, e = self._z(self.low), 1.0 + _GAUSS_5[0]
+        return np.log(_GAUSS_5[1]) - 0.5 * z * z - _LOG_SQRT_2PI - self._log_sf_low, z * e, 0.5 * e * e
+
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        val = -np.expm1(self._log_sf(np.maximum(x, self.low)) - self._log_sf_low)
-        return np.where(x <= self.low, 0.0, np.clip(val, 0.0, 1.0))
+        """One minus the ratio of the tails above ``x`` and ``low``; where
+        those nearly cancel, below the mass of ``SHORT_SPAN`` sigmas over
+        max(1, |z|) above ``low``, the density's 5-point Gauss-Legendre mass
+        on [low, x]."""
+        xs = np.maximum(np.ravel(x), self.low)
+        val = -np.expm1(self._log_sf(xs) - self._log_sf_low)
+        short = np.flatnonzero(val < self._short_mass)
+        if short.size:
+            c, a, b = self._gauss
+            k = (xs[short] - self.low) / (2.0 * self.sigma)
+            val[short] = k * np.exp(c - k * (a + b * k)).sum(axis=0)  # the nodes in one order
+        return np.where(xs <= self.low, 0.0, np.maximum(val, 0.0)).reshape(np.shape(x))  # -expm1 <= 1
 
     def pdf(self, x: np.ndarray, side: str) -> np.ndarray:
         inside = x >= self.low if side == "right" else x > self.low
@@ -181,9 +320,7 @@ class TruncatedNormalPart:
     def quantile(self, q: float) -> float:
         if q >= 1.0:
             return math.inf
-        from scipy.special import ndtri_exp
-
-        return self.mu - self.sigma * float(ndtri_exp(math.log1p(-q) + self._log_sf_low))
+        return self.mu - self.sigma * _ndtri_exp(math.log1p(-q) + self._log_sf_low)
 
     def kinks(self) -> tuple[float, ...]:
         return (self.low,)
@@ -283,7 +420,12 @@ class TypeDistribution:
         return bool(self.atoms)
 
     def effective_high(self) -> float:
-        """Finite upper bound for grids: the ``1 - TAIL_EPS`` quantile if unbounded."""
+        """Finite upper bound for grids: the ``1 - TAIL_EPS`` quantile if
+        unbounded, priced once per distribution."""
+        return self._effective_high
+
+    @cached_property
+    def _effective_high(self) -> float:
         hi = self.c_high
         return hi if math.isfinite(hi) else self.quantile(1.0 - TAIL_EPS)
 
@@ -364,6 +506,11 @@ class TypeDistribution:
         zero-density gap).
         """
         xa = np.atleast_1d(np.asarray(x, dtype=float))
+        out = self._virtual(xa, np.asarray(self.cdf(xa), dtype=float))
+        return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+
+    def _virtual(self, xa: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """:meth:`virtual_cost` at the costs ``xa`` whose CDF values are ``G``."""
         for a, _ in self.atoms:
             if np.any(np.abs(xa - a) <= 1e-12 * max(1.0, abs(a))):
                 raise UndefinedAtAtomError(f"virtual cost undefined at atom {a:g}")
@@ -374,8 +521,7 @@ class TypeDistribution:
         if (g <= 0).any():
             bad = float(xa[np.argmax(g <= 0)])
             raise ZeroDensityError(f"density is zero at c={bad:g}")
-        out = xa + np.asarray(self.cdf(xa), dtype=float) / g
-        return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+        return xa + G / g
 
     def reverse_hazard_rate(self, x) -> np.ndarray | float:
         """Reverse hazard rate ``g(c) / G(c)``; errors where G vanishes."""
@@ -434,6 +580,8 @@ def truncated_normal(mu: float, sigma: float, low: float = 0.0) -> TypeDistribut
 def piecewise(segments: Iterable[tuple[float, float, float]]) -> TypeDistribution:
     """Piecewise-constant density from ``(from, to, density)`` triples."""
     segs = sorted((float(a), float(b), float(d)) for a, b, d in segments)
+    if not segs:
+        raise DistributionError("piecewise needs at least one segment")
     bounds = [segs[0][0]]
     dens = []
     for a, b, d in segs:
@@ -474,6 +622,12 @@ def from_spec(spec: dict) -> TypeDistribution:
                                     f"got {record[key]!r}")
         return record[key]
 
+    def records(key: str) -> list:
+        if not isinstance(spec[key], (list, tuple)) or not all(isinstance(r, dict) for r in spec[key]):
+            raise DistributionError(f"distribution kind '{kind}' key '{key}' must be a list of objects, "
+                                    f"got {spec[key]!r}")
+        return spec[key]
+
     try:
         if kind == "uniform":
             return uniform(num(spec, "low"), num(spec, "high"))
@@ -483,10 +637,10 @@ def from_spec(spec: dict) -> TypeDistribution:
             return truncated_normal(num(spec, "mu"), num(spec, "sigma"), num({"low": 0.0, **spec}, "low"))
         if kind == "piecewise":
             return piecewise(tuple(num(s, key, f"segments[{i}].") for key in ("from", "to", "density"))
-                             for i, s in enumerate(spec["segments"]))
+                             for i, s in enumerate(records("segments")))
         if kind == "mixture":
             return mixture((num(p, "weight", f"parts[{i}]."), from_spec(p["dist"]))
-                           for i, p in enumerate(spec["parts"]))
+                           for i, p in enumerate(records("parts")))
         if kind == "atom":
             return point_mass(num(spec, "at"))
     except KeyError as exc:
@@ -800,16 +954,21 @@ def iron(dist: TypeDistribution) -> IronedVirtualCost:
     tol = 1e-10 * np.maximum(1.0, np.abs(chord[:-1]))
     # a zero-density stretch (dG = 0) always needs the hull to bridge it
     if np.all(dG > 0) and np.all(np.diff(chord) >= -tol):
-        values = np.asarray(dist.virtual_cost(grid), dtype=float)
-        return IronedVirtualCost(grid=grid, values=values, flats=(), dist=dist)
+        return IronedVirtualCost(grid=grid, values=dist._virtual(grid, G), flats=(), dist=dist)
 
     hull = np.asarray(_lower_hull(G, cG))
     a, b = hull[:-1], hull[1:]
     flat = (b > a + 1) & (G[b] > G[a])
     a, b = a[flat], b[flat]
     flats = tuple(zip(grid[a].tolist(), grid[b].tolist(), ((cG[b] - cG[a]) / (G[b] - G[a])).tolist()))
-    iv = IronedVirtualCost(grid=grid, values=grid, flats=flats, dist=dist)  # values set next
-    return replace(iv, values=np.maximum.accumulate(iv.value(grid)))
+    # the ironed value at the grid: a flat's level strictly inside it, else
+    # the raw virtual cost from the grid's own G
+    values, off = np.empty(len(grid)), np.ones(len(grid), dtype=bool)
+    for lo, hi, level in flats:
+        on = (grid > lo) & (grid < hi)
+        values[on], off = level, off & ~on
+    values[off] = dist._virtual(grid[off], G[off])
+    return IronedVirtualCost(grid=grid, values=np.maximum.accumulate(values), flats=flats, dist=dist)
 
 
 @lru_cache(maxsize=64)

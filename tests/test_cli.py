@@ -309,17 +309,22 @@ class TestCheckIc:
         assert f"{p}: {needle}" in err and "finite number" in err
 
 
-@pytest.mark.parametrize("dist, key", [
-    ({"kind": "uniform", "low": 0, "high": "9"}, "high"),
-    ({"kind": "uniform", "low": 0, "high": None}, "high"),
-    ({"kind": "exponential", "rate": "2"}, "rate"),
+@pytest.mark.parametrize("dist, key, must", [
+    ({"kind": "uniform", "low": 0, "high": "9"}, "high", "a finite number"),
+    ({"kind": "uniform", "low": 0, "high": None}, "high", "a finite number"),
+    ({"kind": "exponential", "rate": "2"}, "rate", "a finite number"),
     ({"kind": "mixture", "parts": [{"weight": "1", "dist": {"kind": "uniform", "low": 0, "high": 9}}]},
-     "parts[0].weight"),
-    ({"kind": "piecewise", "segments": [{"from": 0, "to": "1", "density": 1}]}, "segments[0].to"),
-    ({"kind": "atom", "at": True}, "at"),
-], ids=["string_high", "null_high", "string_rate", "string_weight", "string_segment_end", "bool_atom"])
-def test_non_numeric_dist_values_name_the_key(dist, key, tmp_path, capsys):
-    # strings once raised a TypeError traceback; true and "1" became 1.0
+     "parts[0].weight", "a finite number"),
+    ({"kind": "piecewise", "segments": [{"from": 0, "to": "1", "density": 1}]}, "segments[0].to", "a finite number"),
+    ({"kind": "atom", "at": True}, "at", "a finite number"),
+    ({"kind": "piecewise", "segments": 5}, "segments", "a list of objects"),
+    ({"kind": "piecewise", "segments": [5]}, "segments", "a list of objects"),
+    ({"kind": "mixture", "parts": "ab"}, "parts", "a list of objects"),
+], ids=["string_high", "null_high", "string_rate", "string_weight", "string_segment_end", "bool_atom",
+        "int_segments", "int_segment", "string_parts"])
+def test_non_numeric_dist_values_name_the_key(dist, key, must, tmp_path, capsys):
+    # strings once raised a TypeError traceback; true and "1" became 1.0;
+    # a number or a string where a list of objects belongs raised one too
     golden = Path(__file__).parent / "data" / "golden" / "inputs"
     instance = json.loads((golden / "uniform.json").read_text())
     instance["dist"] = dist
@@ -327,7 +332,7 @@ def test_non_numeric_dist_values_name_the_key(dist, key, tmp_path, capsys):
     p.write_text(json.dumps(instance))
     code, out, err = run(["analyze", "--instance", str(p)], capsys)
     assert (code, out) == (1, "")
-    assert err.startswith(f"{p}: dist: distribution kind '{dist['kind']}' key '{key}' must be a finite number")
+    assert err.startswith(f"{p}: dist: distribution kind '{dist['kind']}' key '{key}' must be {must}")
 
 
 def test_grid_env_ignored(instance_file, capsys, monkeypatch):

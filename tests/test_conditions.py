@@ -188,7 +188,7 @@ class TestLinearBounded:
         assert sizes[0] >= SCAN_POINTS and sizes[1:] == [130] * REFINE_ROUNDS
 
     @pytest.mark.parametrize("measure, refined", [
-        (lambda dist: slowly_increasing_beta(dist, 0.5, 0.0), [65] * 2 * REFINE_ROUNDS),  # G(alpha c) and G(c)
+        (lambda dist: slowly_increasing_beta(dist, 0.5, 0.0), [130] * REFINE_ROUNDS),  # G(alpha c) and G(c) in one call
         (rhr_bound_alpha_hat, [65] * REFINE_ROUNDS + [512]),  # then the virtual-cost cross-check
     ], ids=["slowly_increasing_beta", "rhr_bound_alpha_hat"])
     def test_an_inf_alone_refines_one_side(self, monkeypatch, measure, refined):

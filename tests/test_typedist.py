@@ -1,11 +1,15 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtri_exp
 from scipy.stats import truncnorm
 
 import agency
@@ -29,7 +33,7 @@ from agency import (
 )
 
 from agency import typedist
-from agency.typedist import _bisect, _exact
+from agency.typedist import _bisect, _exact, _log_ndtr, _ndtri_exp
 from oracles import bisect_brackets_one_round_per_call, bisect_one_round_per_call, quantile_one_round_per_call
 
 
@@ -148,7 +152,7 @@ class TestTruncatedNormal:
 
     def test_bound_tail_computed_once(self, monkeypatch):
         part = truncated_normal(1.0, 2.0, 0.0).parts[0][1]
-        xs = np.array([0.5, 1.0, 4.0])
+        xs = np.array([1.0, 2.0, 4.0])  # beyond the short span, which takes the density's quadrature
         expected = -np.expm1(part._log_sf(xs) - part._log_sf(0.0))
         assert np.array_equal(part.cdf(xs), expected)  # bit for bit
         calls = []
@@ -156,6 +160,18 @@ class TestTruncatedNormal:
         monkeypatch.setattr(type(part), "_log_sf", lambda self, x: calls.append(x) or log_sf(self, x))
         part.cdf(xs), part.pdf(xs, "right"), part.quantile(0.5)
         assert len(calls) == 1  # the cdf's own tail; the bound's is kept from the first call
+
+    @pytest.mark.parametrize("mu, sigma", [(3.0, 2.0), (1.0, 2.5), (-8.0, 1.0), (0.0, 1.0), (10.0, 1.0)])
+    def test_cdf_just_above_low_matches_mpmath(self, mu, sigma):
+        # the two log tails cancel just above low: G(1e-12) on (3, 2) was
+        # 3.1e-4 relative off, and the scans start at 1e-9 of the top
+        d = truncated_normal(mu, sigma, 0.0)
+        xs = sigma * np.logspace(-14, 1, 151)
+        with mpmath.workdps(60):
+            sf = [mpmath.ncdf((mu - mpmath.mpf(float(x))) / sigma) for x in (0.0, *xs)]
+            ref = np.array([float((sf[0] - s) / sf[0]) for s in sf[1:]])
+        assert np.max(np.abs(np.asarray(d.cdf(xs)) - ref) / ref) < 1e-13
+        assert np.all(np.diff(np.asarray(d.cdf(xs))) >= 0)
 
     def test_far_lower_bound_keeps_its_tail(self):
         # 1 - Phi(8) is below half an ulp of 1, which rounded the CDF to one
@@ -169,10 +185,30 @@ class TestTruncatedNormal:
         with pytest.raises(DistributionError, match="NaN"):
             uniform(0, 1).cdf(float("nan"))
 
-    def test_scipy_imported_lazily(self):
+    def test_scipy_imported_lazily(self, tmp_path):
+        # the normal tails are the package's own kernel, so neither the
+        # import nor a command on a truncated normal loads scipy
         probe = "import sys, agency.cli; print('scipy' in sys.modules)"
         out = run_probe(probe)
         assert out.stdout.strip() == "False"
+        inputs = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "inputs")
+        with open(os.path.join(inputs, "uniform.json"), encoding="utf-8") as f:
+            instance = json.load(f)
+        instance["dist"] = {"kind": "truncated_normal", "mu": 1.0, "sigma": 2.5, "low": 0.0}
+        path = tmp_path / "truncated_normal.json"
+        path.write_text(json.dumps(instance))
+        probe = (
+            "import contextlib, io, sys\n"
+            "from agency.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['analyze', '--instance', {str(path)!r}]) == 0\n"
+            f"    assert main(['sweep-alpha', '--instance', {str(path)!r}]) == 0\n"
+            f"    assert main(['verify', '--instance', {str(path)!r}, '--theorem', 'rev_implications',"
+            " '--variant', 'truncated_normal']) == 0\n"
+            "print('scipy' in sys.modules)"
+        )
+        out = run_probe(probe)
+        assert out.stdout.strip() == "False", out.stderr
 
     def test_library_commands_leave_scipy_optimize_unimported(self):
         # the certificate and audit LPs are solved in the package, so no
@@ -197,7 +233,56 @@ class TestTruncatedNormal:
         for name in sorted(os.listdir(package)):
             if name.endswith(".py"):
                 with open(os.path.join(package, name), encoding="utf-8") as f:
-                    assert "scipy.optimize" not in f.read(), name
+                    assert "scipy" not in f.read(), name  # numpy is the one runtime dependency
+
+
+class TestNormalTailKernel:
+    """``_log_ndtr`` (log Φ) and its inverse ``_ndtri_exp``, which replace
+    ``scipy.special.log_ndtr`` and ``ndtri_exp``."""
+
+    XS = np.linspace(-40.0, 12.0, 26001)
+
+    def test_log_cdf_matches_mpmath(self):
+        xs = np.concatenate([self.XS[::13], [-0.67448975, 0.67448975, np.nextafter(0.67448975, 1.0),
+                                             -math.sqrt(32.0), np.nextafter(math.sqrt(32.0), 6.0), 1e-300, 0.0]])
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.log(mpmath.ncdf(mpmath.mpf(float(x))))) for x in xs])
+        assert np.max(np.abs(_log_ndtr(xs) - ref) / np.abs(ref)) < 2e-14
+
+    def test_inverse_matches_scipy(self):
+        ys = np.concatenate([-np.logspace(-12.0, math.log10(600.0), 2001),
+                             [-math.log(2.0), np.nextafter(-math.log(2.0), 0.0), np.nextafter(-math.log(2.0), -1.0)]])
+        ref = ndtri_exp(ys)
+        got = np.array([_ndtri_exp(float(y)) for y in ys])
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 2e-14
+
+    def test_inverse_ends(self):
+        assert _ndtri_exp(0.0) == math.inf and _ndtri_exp(-math.inf) == -math.inf
+        assert math.isnan(_ndtri_exp(math.nan)) and math.isnan(_ndtri_exp(1.0))
+        # e^y underflows: the asymptotic start; mpmath's root at 40 digits
+        assert _ndtri_exp(-1e4) == pytest.approx(-141.37983987312716, rel=1e-15)
+
+    def test_bits_independent_of_batch(self):
+        whole = _log_ndtr(self.XS)
+        for lo, hi in [(0, 1), (0, 26001), (5, 6), (13000, 13007), (1000, 25000), (25990, 26001), (17, 4113)]:
+            assert np.array_equal(_log_ndtr(self.XS[lo:hi]), whole[lo:hi]), (lo, hi)
+        for k in range(0, 26001, 997):
+            assert _log_ndtr(self.XS[k]) == whole[k] and _log_ndtr(self.XS[k:k + 1].reshape(1, 1))[0, 0] == whole[k]
+        assert np.array_equal(_log_ndtr(self.XS[::-1]), whole[::-1])
+        assert np.array_equal(_log_ndtr(self.XS.reshape(-1, 1)).ravel(), whole)
+
+    def test_no_warning_on_finite_input(self):
+        big = [5e-324, 1e-300, 0.5, 1.0, 5.0, 6.0, 38.0, 40.0, 1e8, 1e154, 1.5e154, 1e170, 1e200, 1.7e308]
+        xs = np.array([0.0, *big, *(-b for b in big)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _log_ndtr(xs)
+            for y in (-1e-300, -5e-324, -1e-12, -0.5, -700.0, -1e300, -1.7e308):
+                assert math.isfinite(_ndtri_exp(y))
+        assert not np.isnan(out).any() and np.all(out <= 0.0)
+        assert out[xs == 38.0][0] == pytest.approx(-2.8854283600688e-316, abs=1e-323)  # -Φ(-38), a subnormal
+        assert out[xs == 40.0][0] == 0.0 and out[xs == -1e200][0] == -math.inf
+        assert np.isnan(_log_ndtr(np.array([np.nan])))[0]
 
 
 class TestVirtualCost:
@@ -507,3 +592,17 @@ class TestSpecFormat:
     def test_unknown_kind(self):
         with pytest.raises(Exception, match="unknown distribution kind"):
             from_spec({"kind": "beta"})
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "piecewise", "segments": 5}, "segments"),
+        ({"kind": "piecewise", "segments": [5]}, "segments"),
+        ({"kind": "mixture", "parts": "ab"}, "parts"),
+    ], ids=["int_segments", "int_segment", "string_parts"])
+    def test_misshapen_lists_raise_named_error(self, spec, key):
+        # each once raised a bare TypeError
+        with pytest.raises(DistributionError, match=f"key '{key}' must be a list of objects"):
+            from_spec(spec)
+
+    def test_empty_piecewise_raises_named_error(self):
+        with pytest.raises(DistributionError, match="at least one segment"):
+            from_spec({"kind": "piecewise", "segments": []})
