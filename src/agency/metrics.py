@@ -4,7 +4,9 @@ Closed forms evaluate breakpoint sums using only CDF values; each has a
 quadrature companion that integrates pointwise best responses instead, so
 the two routes share no intermediate results. Welfare itself is defined by
 quadrature (its integrand is the welfare envelope), split at breakpoints,
-density kinks, and ironing flats so every panel is smooth.
+density kinks, and ironing flats so every panel is smooth. The optimal
+linear share is a closed form where G is piecewise linear (each cell's
+revenue is a quadratic) and a refined scan elsewhere (:func:`best_linear`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .allocation import virtual_rule, welfare_envelope
 from .instance import Instance, best_responses, kept
-from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, ironed
+from .typedist import AtomPresentError, IronedVirtualCost, TypeDistribution, _exact, ironed
 
 SIMPSON_PANELS = 256
 ALPHA_GRID = 2001
@@ -136,9 +138,9 @@ def linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np
     return _linear_revenue(instance, dist, shares)
 
 
-def _linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np.ndarray) -> float | np.ndarray:
-    shares = np.asarray(alpha, dtype=float)
-    al = np.atleast_1d(shares)
+def _rule_cdf(instance: Instance, dist: TypeDistribution, al: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The welfare envelope's rewards in ascending cost, and one row per share of ``al``: the continuous
+    CDF at the low end, the share's crossings clipped to the support and the high end, from one CDF call."""
     lo, hi = dist.c_low, dist.effective_high()
     R = instance.expected_reward_array()
     g = instance.gamma_array()
@@ -151,9 +153,16 @@ def _linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | n
     priced = np.asarray(dist.cdf_continuous(np.concatenate([[lo, hi], cross.ravel()])), dtype=float)
     G = np.empty((len(al), len(acts) + 1))
     G[:, 0], G[:, -1], G[:, 1:-1] = priced[0], priced[1], priced[2:].reshape(cross.shape)
+    return R[list(acts)], G
+
+
+def _linear_revenue(instance: Instance, dist: TypeDistribution, alpha: float | np.ndarray) -> float | np.ndarray:
+    shares = np.asarray(alpha, dtype=float)
+    al = np.atleast_1d(shares)
+    rewards, G = _rule_cdf(instance, dist, al)
     total = np.zeros(len(al))
-    for k, action in enumerate(acts):
-        total = total + (G[:, k + 1] - G[:, k]) * (1.0 - al) * R[action]
+    for k, reward in enumerate(rewards):
+        total = total + (G[:, k + 1] - G[:, k]) * (1.0 - al) * reward
     if dist.atoms:
         # stacked matrix-vector products, one per share: a single matrix
         # product would round differently from ``expected_payments``
@@ -298,24 +307,33 @@ def virtual_welfare_quadrature(
 
 
 def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, float]:
-    """Revenue-maximizing linear share.
+    """Revenue-maximizing linear share and its revenue.
 
-    With the welfare envelope's actions in ascending cost, crossings z_k
-    and reward drops dR_k > 0, the revenue of share a is
-    ``(1 - a) * (R_last + sum_k dR_k * G(a * z_k))`` (Dütting, Roughgarden
-    and Talgam-Cohen, EC 2019), so it depends on the distribution only
-    through G and kinks only where ``a * z`` meets a support end, a density
-    kink or an atom. Candidates: a uniform grid of :data:`ALPHA_GRID`
-    shares, plus every ratio q/z of such a landmark q to a crossing z.
-    Each later pass prices 65 even shares between the best share's two
-    neighbours, until those are at most 1e-15 apart; a share replaces the
-    best only if it is strictly better.
+    The revenue of share a is ``(1 - a) S(a)``, ``S(a) = R_last + sum_k
+    dR_k * G(a * z_k)`` over the welfare crossings z_k (Dütting, Roughgarden
+    and Talgam-Cohen, EC 2019), kinked only at ratios q/z of a support end,
+    density kink or atom q to a crossing z. Where G is piecewise linear
+    (``typedist._exact``), S is linear between 0, 1 and the ratios: one
+    call prices those ends and each cell's vertex ``(q - p)/(2q)`` of
+    ``(1 - a)(p + q a)`` where q > 0. Elsewhere :data:`ALPHA_GRID` shares
+    and the ratios are refined by passes of 65 shares between the best
+    share's neighbours, until 1e-15 apart, keeping only strict gains. The
+    first maximum wins, and the revenue is :func:`linear_revenue`'s own.
     """
     zs = welfare_envelope(instance).breakpoints[1:-1]
     landmarks = [dist.c_low, dist.effective_high(), *(k for k in dist.kinks() if math.isfinite(k))]
     ratios = (np.asarray(landmarks)[:, None] / np.asarray(zs)[None, :]).ravel()
     ratios = ratios[(ratios > 0.0) & (ratios <= 1.0)]
-    alphas = np.unique(np.concatenate([np.linspace(0.0, 1.0, ALPHA_GRID), ratios]))
+    exact = _exact(dist)
+    if exact:
+        ends = np.unique(np.concatenate([[0.0, 1.0], ratios]))
+        rewards, G = _rule_cdf(instance, dist, ends)
+        S = np.diff(G, axis=1) @ rewards
+        q = np.diff(S) / np.diff(ends)  # the vertex of (1 - a)(p + q a), or -inf where q <= 0
+        top = 0.5 - np.divide(S[:-1] - q * ends[:-1], 2.0 * q, out=np.full_like(q, math.inf), where=q > 0.0)
+        alphas = np.unique(np.concatenate([ends, top[(ends[:-1] < top) & (top < ends[1:])]]))
+    else:
+        alphas = np.unique(np.concatenate([np.linspace(0.0, 1.0, ALPHA_GRID), ratios]))
     best_a, best_v = 0.0, -math.inf
     while True:
         revs = linear_revenue(instance, dist, alphas)
@@ -323,7 +341,7 @@ def best_linear(instance: Instance, dist: TypeDistribution) -> tuple[float, floa
         if revs[k] > best_v:
             best_a, best_v = alphas[k], revs[k]
         lo, hi = alphas[max(k - 1, 0)], alphas[min(k + 1, len(alphas) - 1)]
-        if hi - lo <= 1e-15:
+        if exact or hi - lo <= 1e-15:
             return float(best_a), float(best_v)
         alphas = np.linspace(lo, hi, 65)
 

@@ -94,6 +94,8 @@ def _checked(out: np.ndarray, x, xa: np.ndarray, what: str) -> np.ndarray | floa
 class UniformPart:
     low: float
     high: float
+    turns = ()  # costs where g' changes sign between kinks
+    log_slope = staticmethod(np.zeros_like)  # g'/g right of x on the support, else 0
 
     def support(self) -> tuple[float, float]:
         return self.low, self.high
@@ -119,6 +121,7 @@ class UniformPart:
 @dataclass(frozen=True)
 class ExponentialPart:
     rate: float
+    turns = ()
 
     def support(self) -> tuple[float, float]:
         return 0.0, math.inf
@@ -129,6 +132,9 @@ class ExponentialPart:
     def pdf(self, x: np.ndarray, side: str) -> np.ndarray:
         inside = x >= 0.0 if side == "right" else x > 0.0
         return np.where(inside, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
+
+    def log_slope(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x >= 0.0, -self.rate, 0.0)
 
     def quantile(self, q: float) -> float:
         if q >= 1.0:
@@ -317,6 +323,13 @@ class TruncatedNormalPart:
         dens = np.exp(-0.5 * z * z - self._log_sf_low) / (self.sigma * math.sqrt(2.0 * math.pi))
         return np.where(inside, dens, 0.0)
 
+    def log_slope(self, x: np.ndarray) -> np.ndarray:  # its sign is kept where the density underflows
+        return np.where(x >= self.low, (self.mu - x) / self.sigma ** 2, 0.0)
+
+    @property
+    def turns(self) -> tuple[float, ...]:
+        return (self.mu,)
+
     def quantile(self, q: float) -> float:
         if q >= 1.0:
             return math.inf
@@ -332,6 +345,8 @@ class PiecewisePart:
 
     bounds: tuple[float, ...]
     densities: tuple[float, ...]
+    turns = ()
+    log_slope = staticmethod(np.zeros_like)
 
     def __post_init__(self) -> None:
         b = np.asarray(self.bounds, dtype=float)
@@ -436,11 +451,18 @@ class TypeDistribution:
         pts.update(a for a, _ in self.atoms)
         return tuple(sorted(pts))
 
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray] | None:  # (kinks, G(kinks)) for every CDF mode if _exact
+        x = np.asarray(self.kinks())
+        return (x, np.clip(sum(w * p.cdf(x) for w, p in self.parts), 0.0, 1.0)) if _exact(self) else None
+
     def _mixture_cdf(self, x, atoms: str) -> np.ndarray | float:
         """Weighted sum of the part CDFs plus, by ``atoms``, the mass of the
         atoms at or below ``x`` (``"at"``, clipped to [0, 1]), strictly
         below ``x`` (``"below"``, clipped), or none (``"none"``, unclipped)."""
         xa = np.asarray(x, dtype=float)
+        if self._table is not None:
+            return _checked(np.interp(xa, *self._table), x, xa, "CDF")
         out = np.zeros_like(xa)
         for w, p in self.parts:
             out = out + w * p.cdf(xa)
@@ -938,8 +960,8 @@ def iron(dist: TypeDistribution) -> IronedVirtualCost:
     lo, hi = dist.c_low, dist.effective_high()
     ends = np.asarray([lo, *(k for k in dist.kinks() if lo < k < hi), hi])
     # drop zero-density stretches at the ends: the grid runs from the last
-    # kink with G = 0 to the first with G = G(hi)
-    G_ends = np.asarray(dist.cdf(ends), dtype=float)
+    # kink with G = 0 to the first with G = G(hi); on the exact route, the CDF's kink table
+    ends, G_ends = dist._table or (ends, np.asarray(dist.cdf(ends), dtype=float))
     keep = slice(np.flatnonzero(G_ends > G_ends[0])[0] - 1, np.flatnonzero(G_ends < G_ends[-1])[-1] + 2)
     if _exact(dist):
         return _iron_exact(dist, ends[keep], G_ends[keep])

@@ -21,6 +21,12 @@ bracket, which its refinement of that scan must match or beat.
 HiGHS through ``scipy.optimize`` behind the certificate and audit LPs: the
 package's own simplex must reach the same statuses and optimal values.
 
+Exact-rational revenue on the exact route (an atom-free mixture of uniform
+and piecewise parts): every float input is exactly a ``Fraction``, G is
+piecewise linear in them, and the welfare envelope is built from exact
+lines. So the revenue of a share, and the revenue-maximizing share, have
+exact values that the float closed forms must match to rounding.
+
 The lower convex hull behind the grid route of ``iron`` as a plain monotone
 chain on numpy arrays, and the flats built from it pair by pair: the
 package's chain on Python floats, and the flats built in one array pass,
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -47,7 +54,7 @@ from agency.incentives import (
     menu_path,
 )
 from agency.instance import TIE_TOL, Instance, best_responses
-from agency.typedist import IronedVirtualCost, TypeDistribution
+from agency.typedist import IronedVirtualCost, TypeDistribution, UniformPart, _exact
 
 
 @dataclass(frozen=True)
@@ -428,3 +435,90 @@ def hull_flats(grid: np.ndarray, G: np.ndarray, cG: np.ndarray, hull: list[int])
         for a, b in zip(hull[:-1], hull[1:])
         if b > a + 1 and G[b] > G[a]
     )
+
+
+def exact_envelope(instance: Instance) -> list[tuple[int, Fraction, Fraction | None]]:
+    """``(action, start, end)`` pieces of the welfare envelope over costs
+    ``c >= 0``, ascending, from the exact lines ``R_i - gamma_i c`` of the
+    float expected rewards and efforts; the last piece has no end. From the
+    current action, the next is the one of lower effort whose line crosses
+    first, the lowest effort on ties."""
+    R = [Fraction(float(r)) for r in instance.expected_reward_array()]
+    g = [Fraction(float(v)) for v in instance.gamma_array()]
+    a = min(range(len(R)), key=lambda i: (-R[i], g[i]))
+    pieces, start = [], Fraction(0)
+    while True:
+        later = [((R[a] - R[j]) / (g[a] - g[j]), g[j], j) for j in range(len(R)) if g[j] < g[a]]
+        if not later:
+            pieces.append((a, start, None))
+            return pieces
+        cross, _, nxt = min(later)
+        pieces.append((a, start, cross))
+        a, start = nxt, cross
+
+
+def exact_cdf(dist: TypeDistribution):
+    """G of an exact-route distribution as a function of a ``Fraction`` cost,
+    exact on its float parameters; each part's CDF is clipped to [0, 1], as
+    the float parts clip theirs."""
+    assert _exact(dist)
+    parts = []
+    for w, p in dist.parts:
+        if isinstance(p, UniformPart):
+            bounds, dens = (p.low, p.high), (1 / (Fraction(p.high) - Fraction(p.low)),)
+        else:
+            bounds, dens = p.bounds, p.densities
+        parts.append((Fraction(w), [Fraction(b) for b in bounds], [Fraction(d) for d in dens]))
+
+    def G(c: Fraction) -> Fraction:
+        total = Fraction(0)
+        for w, bounds, dens in parts:
+            mass = Fraction(0)
+            for b0, b1, d in zip(bounds[:-1], bounds[1:], dens):
+                mass += d * (min(max(c, b0), b1) - b0)
+            total += w * min(max(mass, Fraction(0)), Fraction(1))
+        return total
+
+    return G
+
+
+def _exact_scaled_sum(instance: Instance, dist: TypeDistribution, G, pieces, a: Fraction) -> Fraction:
+    """``S(a)``: each piece's expected reward times the mass of the types
+    whose best response to share ``a`` it is, the piece scaled by ``a``."""
+    R = [Fraction(float(r)) for r in instance.expected_reward_array()]
+    lo, hi = Fraction(dist.c_low), Fraction(dist.c_high)
+    total = Fraction(0)
+    for action, start, end in pieces:
+        l = min(max(a * start, lo), hi)
+        h = hi if end is None else min(max(a * end, lo), hi)
+        total += R[action] * (G(h) - G(l))
+    return total
+
+
+def exact_revenue(instance: Instance, dist: TypeDistribution, alpha: float) -> Fraction:
+    """Exact revenue ``(1 - a) S(a)`` of the linear contract with share ``alpha``."""
+    a = Fraction(float(alpha))
+    return (1 - a) * _exact_scaled_sum(instance, dist, exact_cdf(dist), exact_envelope(instance), a)
+
+
+def exact_best_linear(instance: Instance, dist: TypeDistribution) -> tuple[Fraction, Fraction]:
+    """Exact revenue-maximizing share and revenue, the lowest share on ties.
+
+    S is linear between 0, 1 and the exact ratios q/z of a support end or
+    kink q to an envelope crossing z, so on each cell the revenue
+    ``(1 - a)(p + q a)`` peaks at an end or at its vertex ``(q - p)/(2q)``.
+    """
+    G, pieces = exact_cdf(dist), exact_envelope(instance)
+    landmarks = {Fraction(k) for k in (dist.c_low, dist.c_high, *dist.kinks())}
+    ratios = {q / z for q in landmarks for _, z, _ in pieces[1:] if z > 0 and 0 < q / z < 1}
+    ends = sorted({Fraction(0), Fraction(1), *ratios})
+    S = {a: _exact_scaled_sum(instance, dist, G, pieces, a) for a in ends}
+    candidates = list(ends)
+    for a, b in zip(ends[:-1], ends[1:]):
+        q = (S[b] - S[a]) / (b - a)
+        p = S[a] - q * a
+        if q > 0 and a < (q - p) / (2 * q) < b:
+            candidates.append((q - p) / (2 * q))
+    revenue = {a: (1 - a) * (S[a] if a in S else _exact_scaled_sum(instance, dist, G, pieces, a)) for a in candidates}
+    best = max(revenue.values())
+    return min(a for a, v in revenue.items() if v == best), best

@@ -33,7 +33,7 @@ from agency import (
     virtual_welfare,
     welfare,
 )
-from agency.conditions import REFINE_ROUNDS, SCAN_POINTS
+from agency.conditions import REFINE_ROUNDS, SCAN_POINTS, _density_non_increasing
 from agency.typedist import _exact
 from agency.examples import scaling_uniform
 
@@ -295,6 +295,33 @@ class TestVerify:
         assert "density is not non-increasing" in v.notes
         v = verify(inst, self.narrow_spike(1.0), "rev_implications", variant="non_increasing")
         assert "need non-increasing density, c_low > 0, kappa > 1" in v.notes
+
+    def test_rise_between_scan_points_fails_non_increasing(self):
+        # the density of truncated_normal(0.0005, 1, 0) rises by 1.25e-7
+        # relative on [0, 0.0005], between two points of an even scan; the
+        # part's own sign of g' there decides it, with nothing scanned. So
+        # it does where the density underflows at the cell's midpoint: a
+        # normal of sigma 0.1 at 10 rises from 0, alone or over a uniform
+        inst = random_instance(np.random.default_rng(3))
+        bump = truncated_normal(10.0, 0.1, 0.0)
+        for dist, ok in ((truncated_normal(0.0005, 1.0, 0.0), False), (truncated_normal(0.0, 1.0, 0.0), True),
+                         (truncated_normal(-0.5, 1.0, 0.0), True), (bump, False),
+                         (mixture([(0.5, uniform(0.0, 20.0)), (0.5, bump)]), False)):
+            v = verify(inst, dist, "wel_implications")
+            assert v.hypothesis_ok is ok and ("density is not non-increasing" in v.notes) is not ok
+            assert not any("scanned" in note for note in v.notes)
+        assert _density_non_increasing(point_mass(1.0), [])  # no density and no cell
+
+    def test_parts_of_opposite_slope_are_scanned_on_their_cells(self):
+        # a rising truncated normal under a falling exponential: the sum of
+        # their slopes decides each cell where they disagree, and a note says
+        # so, also where the normal's density underflows at the cell's middle
+        inst = random_instance(np.random.default_rng(3))
+        for w, mu, sigma, ok in ((0.1, 1.0, 2.0, True), (0.5, 1.0, 0.5, False), (0.5, 10.0, 0.1, False)):
+            dist = mixture([(1.0 - w, exponential(1.0)), (w, truncated_normal(mu, sigma, 0.0))])
+            v = verify(inst, dist, "rev_implications", variant="exponential")
+            assert "density slope scanned on 1 of 2 cells" in v.notes
+            assert ("need non-increasing density on [0, inf)" in v.notes) is not ok
 
     def test_wel_implications_exponential(self):
         for seed in range(4):

@@ -35,7 +35,7 @@ from agency.metrics import integrate_against
 from agency.typedist import _exact
 
 from conftest import battery, random_instance, scaled_distribution, welfare_top
-from oracles import golden_section_one_step_per_call, welfare_crossings
+from oracles import exact_best_linear, exact_revenue, golden_section_one_step_per_call, welfare_crossings
 
 LIBRARY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "library_pairs.json")
 
@@ -48,6 +48,40 @@ def polish_pairs():
     atoms += [(inst, mixture([(0.5, point_mass(0.5 * dist.effective_high())), (0.5, dist)]))
               for inst, dist in battery(4, 4)]
     return pairs + atoms
+
+
+def grid_pairs():
+    """The :func:`polish_pairs` that :func:`best_linear` scans: not on the exact route."""
+    pairs = [(inst, dist) for inst, dist in polish_pairs() if not _exact(dist)]
+    assert len(pairs) >= 20
+    return pairs
+
+
+def exact_pairs():
+    """Exact-route pairs (atom-free uniform and piecewise types): the
+    conftest battery's and the library's, and uniform, three-step (down and
+    up), two-bump and gapped two-bump pairs built as ``bench/gen.py`` builds
+    them, on conftest instances."""
+    with open(LIBRARY, encoding="utf-8") as fh:
+        pairs = [(Instance(**p["instance"]), from_spec(p["dist"])) for p in json.load(fh)]
+    pairs += battery(13, 24)
+    rng = np.random.default_rng(40)
+
+    def steps(hi, heights):
+        bounds = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 2)) * hi, [hi]])
+        dens = heights / float(np.dot(heights, np.diff(bounds)))
+        return piecewise(zip(bounds[:-1], bounds[1:], dens))
+
+    for k in range(40):
+        inst = random_instance(rng)
+        hi = float(rng.uniform(1.2, 1.8)) * welfare_top(inst)
+        a_hi, w = float(rng.uniform(0.35, 0.6)) * hi, float(rng.uniform(0.2, 0.5))
+        b_lo = (float(rng.uniform(0.4, 0.9)) * a_hi if k % 5 == 3  # overlapping bumps, else gapped ones
+                else a_hi + float(rng.uniform(0.05, 0.2)) * (hi - a_hi))
+        bumps = mixture([(w, uniform(0.0, a_hi)), (1.0 - w, uniform(b_lo, hi))])
+        pairs.append((inst, [uniform(0.0, hi), steps(hi, np.sort(rng.uniform(0.2, 1.0, 3))[::-1]),
+                             steps(hi, np.sort(rng.uniform(0.1, 1.0, 3)) * [1.0, 2.0, 3.0]), bumps, bumps][k % 5]))
+    return [(inst, dist) for inst, dist in pairs if _exact(dist)]
 
 
 def null_only_instance():
@@ -391,11 +425,13 @@ class TestBestLinear:
 
     def test_beats_scan_then_one_step_golden_polish(self, monkeypatch):
         # the golden-section search this refinement replaced: the same
-        # scan, then one-step-per-call golden section on the argmax bracket
+        # scan, then one-step-per-call golden section on the argmax bracket;
+        # grid route only, as the exact route prices no scan (its oracle
+        # test covers it)
         scans = []
         revenue = metrics.linear_revenue
         monkeypatch.setattr(metrics, "linear_revenue", lambda inst, dist, a: scans.append(a) or revenue(inst, dist, a))
-        for inst, dist in polish_pairs():
+        for inst, dist in grid_pairs():
             before = len(scans)
             _, rev = best_linear(inst, dist)
             alphas = scans[before]
@@ -407,15 +443,43 @@ class TestBestLinear:
             assert rev >= old - 1e-15 * abs(rev)
 
     def test_at_most_nine_revenue_calls(self, monkeypatch):
-        # the scan and eight refinements, each 32 times narrower than the last
+        # grid route: the scan and eight refinements, each 32 times narrower
+        # than the last
         calls = []
         revenue = metrics.linear_revenue
         monkeypatch.setattr(metrics, "linear_revenue", lambda *args: calls.append(args) or revenue(*args))
-        for inst, dist in polish_pairs():
+        for inst, dist in grid_pairs():
             before = len(calls)
             best_linear(inst, dist)
             assert len(calls) - before <= 9
             assert len(calls[before][2]) >= metrics.ALPHA_GRID
+
+    def test_exact_route_makes_one_revenue_call(self, monkeypatch):
+        # the cell ends and the vertices inside them, priced together, and
+        # never the ALPHA_GRID scan
+        calls = []
+        revenue = metrics.linear_revenue
+        monkeypatch.setattr(metrics, "linear_revenue", lambda *args: calls.append(args) or revenue(*args))
+        for inst, dist in exact_pairs():
+            before = len(calls)
+            alpha, rev = best_linear(inst, dist)
+            assert len(calls) - before == 1
+            shares = calls[before][2]
+            assert len(shares) < metrics.ALPHA_GRID and {0.0, 1.0} <= set(shares.tolist())
+            assert rev == revenue(inst, dist, shares)[shares.tolist().index(alpha)] == revenue(inst, dist, alpha)
+
+    def test_exact_route_matches_exact_rational_oracle(self):
+        # the oracle maximizes the exact revenue curve in Fraction; the
+        # share may move by about sqrt(eps), since the curve is flat at its
+        # maximum, but the revenue is within rounding
+        for inst, dist in exact_pairs():
+            alpha, rev = best_linear(inst, dist)
+            exact_alpha, exact_rev = exact_best_linear(inst, dist)
+            assert abs(rev - exact_rev) <= 1e-15 * exact_rev
+            assert abs(alpha - exact_alpha) <= 1e-7 * exact_alpha
+            for share in (*metrics.REVENUE_PROBES, alpha):
+                exact = exact_revenue(inst, dist, share)
+                assert abs(linear_revenue(inst, dist, share) - exact) <= 1e-14 * exact
 
     def test_gap_bounded_by_two(self):
         ex = gap(n=10, delta=0.01)

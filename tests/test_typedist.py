@@ -27,6 +27,7 @@ from agency import (
     piecewise,
     point_mass,
     rhr,
+    smoothed_point_mass,
     to_spec,
     truncated_normal,
     uniform,
@@ -123,6 +124,22 @@ class TestCdf:
         for _ in range(3):
             part.cdf(np.asarray([0.5, 2.5])), part.pdf(np.asarray([0.5]), "right"), part.quantile(0.7)
         assert len(calls) == 1
+
+    def test_exact_route_reads_one_lazy_kink_table(self):
+        # G linear between kinks: every CDF mode is one interpolation of a
+        # table built on first use, within rounding of the part sum, with
+        # NaN raising and values constant outside the support
+        bumps = mixture([(0.3, uniform(0.0, 2.0)), (0.7, piecewise([(1, 2, 0.4), (2, 5, 0.2)]))])
+        assert "_table" not in bumps.__dict__
+        x = np.linspace(-1.0, 6.0, 701)
+        parts = sum(w * p.cdf(x) for w, p in bumps.parts)
+        for mode in (bumps.cdf, bumps.cdf_left, bumps.cdf_continuous):
+            assert np.max(np.abs(mode(x) - parts)) <= 4e-16
+        assert np.array_equal(bumps.__dict__["_table"][0], bumps.kinks())
+        assert bumps.cdf(-1e300) == 0.0 and bumps.cdf(math.inf) == 1.0
+        with pytest.raises(DistributionError, match="NaN"):
+            bumps.cdf(np.asarray([1.0, math.nan]))
+        assert exponential(1.0)._table is None and smoothed_point_mass(0.2)._table is None
 
     def test_numeric_cdf_matches_density_integral(self):
         for dist in (uniform(0.5, 3), exponential(0.7), truncated_normal(1, 2, 0),
